@@ -1,9 +1,9 @@
 """Exact causal self-attention.
 
 This is the correctness oracle for the grouped pipeline and the weight
-source for sparsity studies. Masking is done by restricting each row's
-softmax support to past positions, never by large negative sentinels, so
-future tokens have exactly zero influence.
+source for sparsity studies. Future positions get a logit of -inf, never
+a large finite sentinel, so their weight is exactly zero and future
+tokens have no influence.
 """
 
 from __future__ import annotations
@@ -58,15 +58,13 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
     and exact zeros elsewhere.
     """
     L, d = batch.q.shape
-    scale = 1.0 / np.sqrt(d)
-    logits = (batch.q @ batch.k.T) * scale
-    weights = np.zeros((L, L))
-    out = np.empty((L, d))
-    for i in range(L):
-        row = softmax(logits[i, : i + 1])
-        weights[i, : i + 1] = row
-        out[i] = row @ batch.v[: i + 1]
-    return out, weights
+    weights = batch.q @ batch.k.T
+    weights *= 1.0 / np.sqrt(d)
+    weights[np.triu(np.ones((L, L), dtype=bool), k=1)] = -np.inf
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ batch.v, weights
 
 
 def last_token_weights(batch: AttentionBatch) -> np.ndarray:

@@ -7,10 +7,13 @@ block's last-position query, and attend over the compact layout
 
     [focal tokens | aggregated blocks | complement members]
 
-under an L x (r + k + m) visibility mask. The complement columns expose
-the raw members of the one block whose index span contains the query, so
-queries inside a partially visible block neither leak future tokens nor
-lose past ones.
+One predicate, `_visible`, decides which of these r + k + m columns a
+query sees. The complement columns expose the raw members of the one
+block that straddles the query, so queries inside a partially visible
+block neither leak future tokens nor lose past ones. Attention applies
+the predicate one block of query rows at a time; `build_group_mask`
+renders it as the dense L x (r + k + m) mask that `dga-check` and the
+oracle tests compare.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import numpy as np
 
 from .attention import AttentionBatch, causal_attention
 from .errors import InvalidInputError, InvalidSpecError
-from .numerics import softmax
+from .numerics import softmax, softmax_rows
 from .rng import RngStream
+
+_ROW_BLOCK = 128  # query rows per attend step; bounds its memory to O(B (r + k + m))
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,19 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class TokenPartition:
-    """Focal indices plus contiguous blocks over the non-focal subsequence."""
+    """Focal indices plus contiguous blocks over the non-focal subsequence.
+
+    groups is the (k, m) int64 array of block members, ascending along
+    both axes; neighbor[i] is the block that straddles token i (first
+    member <= i < last member), or -1.
+    """
 
     L: int
     m: int
     gamma: float
     focal: np.ndarray
-    groups: tuple
+    groups: np.ndarray
+    neighbor: np.ndarray
     scores: np.ndarray
 
     @property
@@ -73,19 +84,7 @@ class TokenPartition:
 
     @property
     def k(self) -> int:
-        return len(self.groups)
-
-    def group_span(self, g: int) -> tuple[int, int]:
-        idx = self.groups[g]
-        return int(idx[0]), int(idx[-1])
-
-    def neighbor_group(self, i: int) -> int | None:
-        """The unique block whose index span contains i, if any."""
-        for g in range(self.k):
-            lo, hi = self.group_span(g)
-            if lo <= i <= hi:
-                return g
-        return None
+        return self.groups.shape[0]
 
 
 def importance_scores_exact(weights: np.ndarray) -> np.ndarray:
@@ -142,10 +141,15 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     r = r0 + (L - r0) % m
     by_score = np.argsort(-scores, kind="stable")
     focal = np.sort(by_score[:r])
-    non_focal = np.setdiff1d(np.arange(L), focal, assume_unique=True)
-    k = non_focal.size // m
-    groups = tuple(non_focal[g * m : (g + 1) * m] for g in range(k))
-    return TokenPartition(L, m, float(gamma), focal, groups, scores)
+    non_focal = np.setdiff1d(np.arange(L, dtype=np.int64), focal, assume_unique=True)
+    groups = non_focal.reshape(-1, m)
+    # The only block that can straddle i is the first one ending after i;
+    # the appended L stands for "no such block" and never starts <= i.
+    tokens = np.arange(L)
+    g = np.searchsorted(groups[:, -1], tokens, side="right")
+    first = np.append(groups[:, 0], L)
+    neighbor = np.where(first[g] <= tokens, g, -1)
+    return TokenPartition(L, m, float(gamma), focal, groups, neighbor, scores)
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,7 @@ class GroupedKV:
 
     k_focal/v_focal hold the focal rows in ascending token order;
     k_agg/v_agg hold one aggregated row per block (weights in p_rows, one
-    softmax per block from the block's last-position query); neighbor[i]
-    is the block whose span contains query i, or -1.
+    softmax per block from the block's last-position query).
     """
 
     k_focal: np.ndarray
@@ -163,94 +166,86 @@ class GroupedKV:
     k_agg: np.ndarray
     v_agg: np.ndarray
     p_rows: np.ndarray
-    neighbor: np.ndarray
     partition: TokenPartition
 
 
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> GroupedKV:
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
-    d = batch.width
-    scale = 1.0 / np.sqrt(d)
-    k_f = batch.k[partition.focal].copy()
-    v_f = batch.v[partition.focal].copy()
-    k_agg = np.zeros((partition.k, d))
-    v_agg = np.zeros((partition.k, d))
-    p_rows = np.zeros((partition.k, partition.m))
-    neighbor = np.full(partition.L, -1, dtype=np.int64)
-    for g, members in enumerate(partition.groups):
-        last = members[-1]
-        p = softmax((batch.k[members] @ batch.q[last]) * scale)
-        p_rows[g] = p
-        k_agg[g] = p @ batch.k[members]
-        v_agg[g] = p @ batch.v[members]
-        lo, hi = int(members[0]), int(members[-1])
-        neighbor[lo : hi + 1] = g
-    return GroupedKV(k_f, v_f, k_agg, v_agg, p_rows, neighbor, partition)
+    groups = partition.groups
+    scale = 1.0 / np.sqrt(batch.width)
+    members_k = batch.k[groups]
+    p_rows = softmax_rows(
+        np.einsum("gmd,gd->gm", members_k, batch.q[groups[:, -1]]) * scale
+    )
+    k_agg = np.einsum("gm,gmd->gd", p_rows, members_k)
+    v_agg = np.einsum("gm,gmd->gd", p_rows, batch.v[groups])
+    k_f = batch.k[partition.focal]
+    v_f = batch.v[partition.focal]
+    return GroupedKV(k_f, v_f, k_agg, v_agg, p_rows, partition)
+
+
+def _straddled_members(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), m) members of each row's straddling block, -1 where none."""
+    padded = np.vstack([partition.groups, np.full((1, partition.m), -1)])
+    return padded[partition.neighbor[rows]]
+
+
+def _visible(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
+    """Which of the r + k + m grouped columns each query row sees.
+
+    A focal token once it is past, a block's aggregate once the whole
+    block is past, and the members up to the query of the block that
+    straddles it. Every past token is reachable through exactly one
+    column, and no future token through any.
+    """
+    i = rows[:, None]
+    members = _straddled_members(partition, rows)
+    return np.concatenate(
+        [
+            partition.focal <= i,
+            partition.groups[:, -1] <= i,
+            (members >= 0) & (members <= i),
+        ],
+        axis=1,
+    )
 
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
-    """L x (r + k + m) binary visibility mask.
-
-    Focal column for token j is on for queries i >= j. Block column g is
-    on once the whole block is past (i >= max of the block). Complement
-    columns carry the residue of the query's own straddling block: causal
-    member bits minus the (repeated) block bit, which is nonzero only
-    while the block is partially visible.
-    """
-    L, m, r, k = partition.L, partition.m, partition.r, partition.k
-    rows = np.arange(L)[:, None]
-    mask = np.zeros((L, r + k + m))
-    mask[:, :r] = rows >= partition.focal[None, :]
-    if k == 0:
-        return mask
-    group_max = np.array([span[1] for span in map(partition.group_span, range(k))])
-    block_bits = (rows >= group_max[None, :]).astype(np.float64)
-    mask[:, r : r + k] = block_bits
-    member_idx = np.concatenate(partition.groups)
-    member_bits = (rows >= member_idx[None, :]).astype(np.float64)
-    residue = member_bits - np.repeat(block_bits, m, axis=1)
-    for i in range(L):
-        g = partition.neighbor_group(i)
-        if g is not None:
-            mask[i, r + k :] = residue[i, g * m : (g + 1) * m]
-    return mask
-
-
-def masked_attention_row(q_i, keys, values, visible, scale) -> np.ndarray:
-    """One query's output: softmax restricted to the visible columns.
-
-    Masking narrows the softmax support instead of adding large negative
-    sentinels, so hidden columns have exactly zero weight.
-    """
-    logits = (keys @ q_i) * scale
-    w = softmax(logits[visible])
-    return w @ values[visible]
+    """L x (r + k + m) 0/1 rendering of the visibility predicate."""
+    return _visible(partition, np.arange(partition.L)).astype(np.float64)
 
 
 def dga_attention_with_partition(
     batch: AttentionBatch, partition: TokenPartition
 ) -> np.ndarray:
-    """Grouped attention output for a fixed, precomputed partition."""
+    """Grouped attention output for a fixed, precomputed partition.
+
+    Query rows go through in blocks of _ROW_BLOCK. Each block takes one
+    matmul against the focal and aggregated keys, one gathered logit per
+    complement member, and one softmax over all r + k + m columns with
+    hidden columns at -inf, so they get exactly zero weight.
+    """
     kv = build_grouped_kv(batch, partition)
-    mask = build_group_mask(partition)
-    L, d = batch.q.shape
-    r, k, m = partition.r, partition.k, partition.m
-    scale = 1.0 / np.sqrt(d)
-    out = np.empty((L, d))
-    pad_k = np.zeros((m, d))
-    for i in range(L):
-        g = kv.neighbor[i]
-        if g >= 0:
-            comp_k = batch.k[partition.groups[g]]
-            comp_v = batch.v[partition.groups[g]]
-        else:
-            comp_k = pad_k
-            comp_v = pad_k
-        keys = np.concatenate([kv.k_focal, kv.k_agg, comp_k])
-        values = np.concatenate([kv.v_focal, kv.v_agg, comp_v])
-        visible = mask[i] > 0
-        out[i] = masked_attention_row(batch.q[i], keys, values, visible, scale)
+    keys = np.concatenate([kv.k_focal, kv.k_agg])
+    values = np.concatenate([kv.v_focal, kv.v_agg])
+    n = keys.shape[0]
+    scale = 1.0 / np.sqrt(batch.width)
+    out = np.empty_like(batch.q)
+    for start in range(0, partition.L, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, partition.L))
+        q = batch.q[rows]
+        # Rows with no straddling block gather token -1; _visible hides it.
+        members = _straddled_members(partition, rows)
+        logits = np.concatenate(
+            [q @ keys.T, np.einsum("bd,bmd->bm", q, batch.k[members])], axis=1
+        )
+        logits *= scale
+        logits[~_visible(partition, rows)] = -np.inf
+        w = softmax_rows(logits)
+        out[rows] = w[:, :n] @ values + np.einsum(
+            "bm,bmd->bd", w[:, n:], batch.v[members]
+        )
     return out
 
 

@@ -67,9 +67,8 @@ def mask_by_reachability(partition: TokenPartition) -> np.ndarray:
     mask = np.zeros((L, r + k + m))
     for i in range(L):
         neighbor = None
-        for g in range(k):
-            lo, hi = partition.group_span(g)
-            if lo <= i <= hi:
+        for g, members in enumerate(partition.groups):
+            if members[0] <= i <= members[-1]:
                 neighbor = g
         for j in range(L):
             routes = []
@@ -78,7 +77,7 @@ def mask_by_reachability(partition: TokenPartition) -> np.ndarray:
                     routes.append(focal_col[j])
             else:
                 g = token_group[j]
-                if i >= partition.group_span(g)[1]:
+                if i >= partition.groups[g][-1]:
                     routes.append(r + g)
                 elif g == neighbor and j <= i:
                     routes.append(r + k + token_slot[j])
@@ -119,10 +118,9 @@ def naive_dga_attention(batch: AttentionBatch, partition: TokenPartition) -> np.
             for idx, j in enumerate(members):
                 keys[r + g] += p[idx] * batch.k[j]
                 values[r + g] += p[idx] * batch.v[j]
-        for g in range(k):
-            lo, hi = partition.group_span(g)
-            if lo <= i <= hi:
-                for slot, j in enumerate(partition.groups[g]):
+        for members in partition.groups:
+            if members[0] <= i <= members[-1]:
+                for slot, j in enumerate(members):
                     keys[r + k + slot] = batch.k[j]
                     values[r + k + slot] = batch.v[j]
         visible = np.nonzero(mask[i] > 0)[0]

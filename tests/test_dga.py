@@ -138,9 +138,7 @@ class TestPartitionTokens:
             assert np.array_equal(np.sort(merged), np.arange(L))
             assert part.r >= 1
             assert (L - part.r) % m == 0
-            spans = [part.group_span(g) for g in range(part.k)]
-            for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-                assert hi1 < lo2
+            assert np.all(part.groups[:-1, -1] < part.groups[1:, 0])
 
     def test_focal_tokens_are_top_scorers(self):
         scores = np.array([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
@@ -193,10 +191,9 @@ class TestGroupedKV:
         rng = np.random.default_rng(11)
         batch = random_batch(rng, 14, 3)
         part = compute_partition(batch, 3, 0.2)
-        kv = build_grouped_kv(batch, part)
         for i in range(part.L):
-            g = part.neighbor_group(i)
-            assert kv.neighbor[i] == (-1 if g is None else g)
+            spans = [g for g, mem in enumerate(part.groups) if mem[0] <= i < mem[-1]]
+            assert part.neighbor[i] == (spans[0] if spans else -1)
 
 
 class TestGroupMask:
@@ -205,7 +202,7 @@ class TestGroupMask:
         batch = random_batch(rng, 12, 3)
         part = compute_partition(batch, 3, 0.25)
         mask = build_group_mask(part)
-        last_span_end = max(part.group_span(g)[1] for g in range(part.k))
+        last_span_end = part.groups[:, -1].max()
         for i in range(part.L):
             if i > last_span_end:
                 assert np.all(mask[i, part.r + part.k :] == 0.0)
