@@ -67,15 +67,57 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve(args, key: str, parse, default):
-    """Command-line value if given, else config value, else default."""
-    cli_value = getattr(args, key.replace("-", "_"))
-    if cli_value is not None:
-        return cli_value
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return parse(cfg[key])
-    return default
+# Flags every subcommand takes besides --config.
+_COMMON = {
+    "seed": (int, 0, "base RNG seed"),
+    "out": (str, ".", "output directory"),
+}
+
+# subcommand -> (help, {flag: (parse, default, help)}); the parser and the
+# flag > config > default resolution both read this one table.
+_COMMANDS = {
+    "sparsity": ("sparsity probabilities and bounds", {
+        **_COMMON,
+        "L": (_parse_int_list, [64, 128, 256], "context lengths, comma-separated"),
+        "rho": (_parse_float_list, [0.01, 0.02, 0.05], "sparse rates, comma-separated"),
+        "trials": (int, 10_000, "Monte Carlo sample count"),
+        "sampler": (str, "gaussian",
+                    "logit distribution family: gaussian, student_t, mixture or attention"),
+        "d": (int, 16, "embedding width for the attention sampler"),
+    }),
+    "coding": ("condition numbers and solver traces", {
+        **_COMMON,
+        "L": (int, 16, "token count per instance"),
+        "d": (int, 32, "embedding width"),
+        "m": (_parse_int_list, [2, 4, 8], "group sizes, comma-separated"),
+        "instances": (int, 200, "random instances per group size"),
+        "iters": (int, 2000, "solver iterations for the trace"),
+    }),
+    "noise": ("variance damping and KL drift under noise", {
+        **_COMMON,
+        "L": (int, 32, "logit vector length"),
+        "m": (_parse_int_list, [1, 2, 4, 8], "group sizes, comma-separated"),
+        "sigma": (_parse_float_list, [1e-4, 1e-3, 1e-2], "noise levels, comma-separated"),
+        "trials": (int, 20_000, "Monte Carlo trials"),
+        "d": (int, 8, "embedding width for the KL instance"),
+    }),
+    "dga-check": ("oracle equivalence battery", {
+        **_COMMON,
+        "L": (int, 24, "maximum sequence length"),
+        "d": (int, 8, "maximum embedding width"),
+        "m": (int, 4, "group size"),
+        "gamma": (float, 0.25, "importance rate"),
+        "cases": (int, 25, "number of random cases"),
+    }),
+    "decode-bench": ("decode trace and cost ledgers", {
+        **_COMMON,
+        "L": (int, 64, "prompt length"),
+        "d": (int, 8, "embedding width"),
+        "m": (int, 4, "group size"),
+        "gamma": (float, 0.1, "importance rate"),
+        "steps": (int, 64, "decode steps"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,66 +126,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grouped-attention numerical experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--out", type=str, default=None, help="output directory")
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
-
-    p = sub.add_parser("sparsity", help="sparsity probabilities and bounds")
-    common(p)
-    p.add_argument("--L", type=_parse_int_list, default=None, help="context lengths, comma-separated")
-    p.add_argument("--rho", type=_parse_float_list, default=None, help="sparse rates, comma-separated")
-    p.add_argument("--trials", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--sampler", type=str, default=None,
-                   choices=["gaussian", "student_t", "mixture", "attention"],
-                   help="logit distribution family")
-    p.add_argument("--d", type=int, default=None, help="embedding width for the attention sampler")
-
-    p = sub.add_parser("coding", help="condition numbers and solver traces")
-    common(p)
-    p.add_argument("--L", type=int, default=None, help="token count per instance")
-    p.add_argument("--d", type=int, default=None, help="embedding width")
-    p.add_argument("--m", type=_parse_int_list, default=None, help="group sizes, comma-separated")
-    p.add_argument("--instances", type=int, default=None, help="random instances per group size")
-    p.add_argument("--iters", type=int, default=None, help="solver iterations for the trace")
-
-    p = sub.add_parser("noise", help="variance damping and KL drift under noise")
-    common(p)
-    p.add_argument("--L", type=int, default=None, help="logit vector length")
-    p.add_argument("--m", type=_parse_int_list, default=None, help="group sizes, comma-separated")
-    p.add_argument("--sigma", type=_parse_float_list, default=None, help="noise levels, comma-separated")
-    p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    p.add_argument("--d", type=int, default=None, help="embedding width for the KL instance")
-
-    p = sub.add_parser("dga-check", help="oracle equivalence battery")
-    common(p)
-    p.add_argument("--L", type=int, default=None, help="maximum sequence length")
-    p.add_argument("--d", type=int, default=None, help="maximum embedding width")
-    p.add_argument("--m", type=int, default=None, help="group size")
-    p.add_argument("--gamma", type=float, default=None, help="importance rate")
-    p.add_argument("--cases", type=int, default=None, help="number of random cases")
-
-    p = sub.add_parser("decode-bench", help="decode trace and cost ledgers")
-    common(p)
-    p.add_argument("--L", type=int, default=None, help="prompt length")
-    p.add_argument("--d", type=int, default=None, help="embedding width")
-    p.add_argument("--m", type=int, default=None, help="group size")
-    p.add_argument("--gamma", type=float, default=None, help="importance rate")
-    p.add_argument("--steps", type=int, default=None, help="decode steps")
-
+        for flag, (parse, _, flag_help) in flags.items():
+            p.add_argument(f"--{flag}", type=parse, default=None, help=flag_help)
     return parser
 
 
-def _prepare(args) -> tuple[RngStream, str]:
-    if args.config is not None:
-        args._config_values = load_config(args.config)
-    else:
-        args._config_values = {}
-    seed = _resolve(args, "seed", int, 0)
-    out_dir = _resolve(args, "out", str, ".")
-    os.makedirs(out_dir, exist_ok=True)
-    return RngStream(int(seed)), out_dir
+def _prepare(args) -> argparse.Namespace:
+    """Resolve every flag of the subcommand: command-line value if given,
+    else config value, else default. Adds the seeded stream as `rng` and
+    creates the output directory."""
+    cfg = load_config(args.config) if args.config is not None else {}
+    values = {}
+    for key, (parse, default, _) in _COMMANDS[args.command][1].items():
+        given = getattr(args, key)
+        if given is None:
+            given = parse(cfg[key]) if key in cfg else default
+        values[key] = given
+    os.makedirs(values["out"], exist_ok=True)
+    return argparse.Namespace(rng=RngStream(values["seed"]), **values)
 
 
 def _random_batch(rng: RngStream, L: int, d: int) -> AttentionBatch:
@@ -155,57 +158,42 @@ def _random_batch(rng: RngStream, L: int, d: int) -> AttentionBatch:
     )
 
 
-def run_sparsity(args) -> int:
-    rng, out_dir = _prepare(args)
-    L_list = _resolve(args, "L", _parse_int_list, [64, 128, 256])
-    rho_list = _resolve(args, "rho", _parse_float_list, [0.01, 0.02, 0.05])
-    trials = _resolve(args, "trials", int, 10_000)
-    sampler = _resolve(args, "sampler", str, "gaussian")
-    d = _resolve(args, "d", int, 16)
-    source = named_source(sampler, d=d)
-    report = sparsity_profile(source, L_list, rho_list, trials, rng)
-    path = os.path.join(out_dir, "sparsity.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report.to_csv_text())
+def run_sparsity(p) -> int:
+    source = named_source(p.sampler, d=p.d)
+    report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
+    path = os.path.join(p.out, "sparsity.csv")
+    write_csv(path, report.HEADER, report.rows())
     print(f"wrote {path} ({len(report.entries)} cells, sampler={source.name})")
     return 0
 
 
-def run_coding(args) -> int:
-    rng, out_dir = _prepare(args)
-    L = _resolve(args, "L", int, 16)
-    d = _resolve(args, "d", int, 32)
-    m_list = _resolve(args, "m", _parse_int_list, [2, 4, 8])
-    instances = _resolve(args, "instances", int, 200)
-    iters = _resolve(args, "iters", int, 2000)
-    for m in m_list:
-        if L % m:
-            print(f"error: group size {m} does not divide L={L}", file=sys.stderr)
-            return USAGE_ERROR
-
+def run_coding(p) -> int:
+    L, d = p.L, p.d
+    for m in p.m:
+        GroupStructure(L, m)  # an indivisible m exits 2 before any output
     rows = []
     holds_all = True
-    for idx in range(instances):
-        gen = rng.child(idx).generator()
+    for idx in range(p.instances):
+        gen = p.rng.child(idx).generator()
         inst = CodingInstance(gen.standard_normal((L, d)), gen.standard_normal(d))
-        for m in m_list:
+        for m in p.m:
             kappa_h, kappa_h_bar, holds = verify_condition_numbers(inst, m)
             holds_all &= holds
             rows.append((L, d, m, kappa_h, kappa_h_bar, holds))
-    write_csv(os.path.join(out_dir, "condnum.csv"),
+    write_csv(os.path.join(p.out, "condnum.csv"),
               ["L", "d", "m", "kappa_H", "kappa_Hbar", "holds"], rows)
 
-    gen = rng.child(instances).generator()
+    gen = p.rng.child(p.instances).generator()
     inst = CodingInstance(gen.standard_normal((L, d)), gen.standard_normal(d))
     trace_rows = []
-    trace = solve_coding(inst, None, None, iters)
+    trace = solve_coding(inst, None, None, p.iters)
     trace_rows += [("ungrouped", 0, it, obj) for it, obj in trace.iterates]
     gap_note = [f"ungrouped: {trace.iterations_to_gap()} iters to 1e-6 gap"]
-    for m in m_list:
-        trace = solve_coding(inst, GroupStructure(L, m), None, iters)
+    for m in p.m:
+        trace = solve_coding(inst, GroupStructure(L, m), None, p.iters)
         trace_rows += [("grouped", m, it, obj) for it, obj in trace.iterates]
         gap_note.append(f"grouped m={m}: {trace.iterations_to_gap()} iters")
-    write_csv(os.path.join(out_dir, "trace.csv"),
+    write_csv(os.path.join(p.out, "trace.csv"),
               ["variant", "m", "iteration", "objective"], trace_rows)
 
     print(f"wrote condnum.csv ({len(rows)} rows, all holds={holds_all}) and trace.csv")
@@ -213,60 +201,47 @@ def run_coding(args) -> int:
     return 0
 
 
-def run_noise(args) -> int:
-    rng, out_dir = _prepare(args)
-    L = _resolve(args, "L", int, 32)
-    m_list = _resolve(args, "m", _parse_int_list, [1, 2, 4, 8])
-    sigma_list = _resolve(args, "sigma", _parse_float_list, [1e-4, 1e-3, 1e-2])
-    trials = _resolve(args, "trials", int, 20_000)
-    d = _resolve(args, "d", int, 8)
-    for m in m_list:
-        if L % m:
-            print(f"error: group size {m} does not divide L={L}", file=sys.stderr)
-            return USAGE_ERROR
-
+def run_noise(p) -> int:
+    L, trials = p.L, p.trials
+    for m in p.m:
+        GroupStructure(L, m)  # an indivisible m exits 2 before any output
     uniform = np.full(L, 1.0 / L)
     logits = np.zeros(L)
     rows, alt_rows = [], []
-    for mi, m in enumerate(m_list):
-        for si, sigma in enumerate(sigma_list):
-            sub = rng.child(100 * mi + si)
+    for mi, m in enumerate(p.m):
+        for si, sigma in enumerate(p.sigma):
+            sub = p.rng.child(100 * mi + si)
             emp, pred = perturbation_variance(uniform, 0, sigma, trials, sub.child(0))
             ratio = grouped_variance_ratio(logits, m, sigma, trials, sub.child(1))
             ambient = ambient_variance_ratio(logits, m, sigma, trials, sub.child(2))
             rows.append((L, m, sigma, emp, pred, ratio))
             alt_rows.append((L, m, sigma, ambient))
-    write_csv(os.path.join(out_dir, "noise.csv"),
+    write_csv(os.path.join(p.out, "noise.csv"),
               ["L", "m", "sigma", "emp_var", "pred_var", "ratio"], rows)
-    write_csv(os.path.join(out_dir, "noise_alt.csv"),
+    write_csv(os.path.join(p.out, "noise_alt.csv"),
               ["L", "m", "sigma", "ratio_ambient"], alt_rows)
 
-    gen = rng.child(999).generator()
-    inst = CodingInstance(gen.standard_normal((L, d)), gen.standard_normal(d))
-    kl_m = m_list[-1]
-    kl_rows = kl_under_noise(inst, GroupStructure(L, kl_m), sigma_list, trials, rng.child(1000))
-    write_csv(os.path.join(out_dir, "klnoise.csv"),
+    gen = p.rng.child(999).generator()
+    inst = CodingInstance(gen.standard_normal((L, p.d)), gen.standard_normal(p.d))
+    kl_m = p.m[-1]
+    kl_rows = kl_under_noise(inst, GroupStructure(L, kl_m), p.sigma, trials, p.rng.child(1000))
+    write_csv(os.path.join(p.out, "klnoise.csv"),
               ["sigma", "kl_ungrouped", "kl_grouped"], kl_rows)
     print(f"wrote noise.csv ({len(rows)} rows), noise_alt.csv, klnoise.csv (m={kl_m})")
     return 0
 
 
-def run_dga_check(args) -> int:
-    rng, out_dir = _prepare(args)
-    L_max = _resolve(args, "L", int, 24)
-    d_max = _resolve(args, "d", int, 8)
-    m = _resolve(args, "m", int, 4)
-    gamma = _resolve(args, "gamma", float, 0.25)
-    cases = _resolve(args, "cases", int, 25)
-    if L_max < 2 or d_max < 1:
+def run_dga_check(p) -> int:
+    m, gamma = p.m, p.gamma
+    if p.L < 2 or p.d < 1:
         print("error: need L >= 2 and d >= 1", file=sys.stderr)
         return USAGE_ERROR
 
-    for case in range(cases):
-        case_rng = rng.child(case)
+    for case in range(p.cases):
+        case_rng = p.rng.child(case)
         gen = case_rng.generator()
-        L = int(gen.integers(2, L_max + 1))
-        d = int(gen.integers(1, d_max + 1))
+        L = int(gen.integers(2, p.L + 1))
+        d = int(gen.integers(1, p.d + 1))
         batch = _random_batch(case_rng.child(0), L, d)
         failures = []
 
@@ -290,44 +265,38 @@ def run_dga_check(args) -> int:
         if failures:
             kind = failures[0][0]
             dumped = dump_case(
-                out_dir,
+                p.out,
                 [("Q", batch.q), ("K", batch.k), ("V", batch.v),
                  ("got", failures[0][1]), ("want", failures[0][2])],
             )
             print(
                 f"FAIL case {case} ({kind}, L={L}, d={d}, m={m}, gamma={gamma}); "
-                f"dumped {len(dumped)} matrices to {out_dir}",
+                f"dumped {len(dumped)} matrices to {p.out}",
                 file=sys.stderr,
             )
             return CHECK_FAILED
-    print(f"dga-check passed: {cases} cases, L<={L_max}, d<={d_max}, m={m}, gamma={gamma}")
+    print(f"dga-check passed: {p.cases} cases, L<={p.L}, d<={p.d}, m={m}, gamma={gamma}")
     return 0
 
 
-def run_decode_bench(args) -> int:
-    rng, out_dir = _prepare(args)
-    L = _resolve(args, "L", int, 64)
-    d = _resolve(args, "d", int, 8)
-    m = _resolve(args, "m", int, 4)
-    gamma = _resolve(args, "gamma", float, 0.1)
-    steps = _resolve(args, "steps", int, 64)
-
-    batch = _random_batch(rng.child(0), L, d)
-    _, state = prefill(batch, m, gamma)
-    gen = rng.child(1).generator()
-    for _ in range(steps):
+def run_decode_bench(p) -> int:
+    d = p.d
+    batch = _random_batch(p.rng.child(0), p.L, d)
+    _, state = prefill(batch, p.m, p.gamma)
+    gen = p.rng.child(1).generator()
+    for _ in range(p.steps):
         q, k, v = gen.standard_normal((3, d))
         decode_step(state, q, k, v)
 
     write_csv(
-        os.path.join(out_dir, "decode_trace.csv"),
+        os.path.join(p.out, "decode_trace.csv"),
         ["step", "focal_rows", "group_rows", "tail_rows", "columns_touched", "cache_entries"],
         state.trace,
     )
     dga = ledger(state)
     vanilla = vanilla_ledger(state.total_tokens)
     write_csv(
-        os.path.join(out_dir, "ledger_summary.csv"),
+        os.path.join(p.out, "ledger_summary.csv"),
         ["tokens", "dga_columns", "vanilla_columns", "dga_cache", "vanilla_cache",
          "dga_dots", "vanilla_dots"],
         [(state.total_tokens, dga.per_token_columns, vanilla.per_token_columns,
@@ -335,7 +304,7 @@ def run_decode_bench(args) -> int:
           dga.score_dot_products, vanilla.score_dot_products)],
     )
     print(
-        f"wrote decode_trace.csv ({steps} steps) and ledger_summary.csv; "
+        f"wrote decode_trace.csv ({p.steps} steps) and ledger_summary.csv; "
         f"next-token columns {dga.per_token_columns} vs vanilla {vanilla.per_token_columns}"
     )
     return 0
@@ -354,7 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        return _RUNNERS[args.command](_prepare(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

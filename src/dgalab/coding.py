@@ -67,19 +67,10 @@ class GroupStructure:
     def k(self) -> int:
         return self.L // self.m
 
-    def assignment(self) -> list:
-        return [
-            np.arange(g * self.m, (g + 1) * self.m) for g in range(self.k)
-        ]
-
 
 def build_grouping_matrix(L: int, m: int) -> np.ndarray:
     """k x L block-averaging matrix: 1/m on each contiguous block."""
-    groups = GroupStructure(L, m)
-    mat = np.zeros((groups.k, L))
-    for g, idx in enumerate(groups.assignment()):
-        mat[g, idx] = 1.0 / m
-    return mat
+    return np.repeat(np.eye(GroupStructure(L, m).k), m, axis=1) / m
 
 
 def hessians(inst: CodingInstance, groups: GroupStructure) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
-"""Dense numerical kernels: stable softmax, simplex projection, a cyclic
-Jacobi eigensolver, positive-spectrum condition numbers, Gaussian sampling
-and KL divergence.
+"""Dense numerical kernels: stable softmax, simplex projection, symmetric
+eigenvalues, positive-spectrum condition numbers, Gaussian sampling and KL
+divergence.
 
 Matrices are plain float64 numpy arrays in row-major order; probability
 vectors are 1-D float64 arrays that sum to one.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegenerateSpectrumError,
     InvalidInputError,
     SupportMismatchError,
@@ -67,17 +66,12 @@ def project_to_simplex(v) -> np.ndarray:
     return np.clip(arr - css[k], 0.0, None)
 
 
-def sym_eigenvalues(
-    a,
-    sym_rtol: float = 1e-10,
-    off_rtol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> np.ndarray:
+def sym_eigenvalues(a, sym_rtol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    Cyclic Jacobi with a fixed (p, q) sweep order, iterated until the
-    off-diagonal Frobenius norm falls below off_rtol * ||A||_F. Raises
-    ConvergenceError after max_sweeps.
+    Rejects non-square, empty, non-finite and asymmetric (beyond
+    sym_rtol * max|a|) input, then runs LAPACK's symmetric solver on the
+    symmetrized matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -87,57 +81,7 @@ def sym_eigenvalues(
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > sym_rtol * scale:
         raise InvalidInputError("matrix is not symmetric within tolerance")
-
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    work = 0.5 * (a + a.T)
-    norm = np.linalg.norm(work)
-    if norm == 0.0:
-        return np.zeros(n)
-    target = off_rtol * norm
-
-    def off_norm(m):
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        return np.linalg.norm(off)
-
-    for _ in range(max_sweeps):
-        if off_norm(work) < target:
-            break
-        # Rotating truly negligible entries just churns rounding noise.
-        skip = target / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = work[p, p], work[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                work[:, p] = new_p
-                work[p, :] = new_p
-                work[:, q] = new_q
-                work[q, :] = new_q
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-    if off_norm(work) >= target:
-        raise ConvergenceError(
-            f"Jacobi sweep budget ({max_sweeps}) exhausted; "
-            f"off-diagonal norm {off_norm(work):.3e} >= {target:.3e}"
-        )
-    return np.sort(np.diag(work))[::-1]
+    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
 
 
 def condition_number(eigs, cutoff: float = 1e-10) -> float:

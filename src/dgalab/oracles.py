@@ -3,7 +3,8 @@
 Everything here favors explicit loops and first-principles enumeration
 over shared code with the production routines, so a bug must appear in
 both routes to go unnoticed. The `dga-check` CLI subcommand and the test
-suite both drive these.
+suite both drive these. `jacobi_eigenvalues`, a pure-Python cyclic Jacobi
+solver, cross-checks the LAPACK one behind `numerics.sym_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from .attention import AttentionBatch
 from .dga import TokenPartition
+from .errors import ConvergenceError, InvalidInputError
 from .numerics import softmax
 
 
@@ -130,6 +132,70 @@ def naive_dga_attention(batch: AttentionBatch, partition: TokenPartition) -> np.
         for wt, c in zip(w, visible):
             out[i] += wt * values[c]
     return out
+
+
+def jacobi_eigenvalues(a, off_rtol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending.
+
+    Independent of LAPACK and of `numerics.sym_eigenvalues`, which it
+    cross-checks. Uses the symmetric part of a; rotates in a fixed (p, q)
+    sweep order until the off-diagonal Frobenius norm falls below
+    off_rtol * ||A||_F. Raises ConvergenceError after max_sweeps.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidInputError("matrix must be square and nonempty")
+
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy()
+    work = 0.5 * (a + a.T)
+    norm = np.linalg.norm(work)
+    if norm == 0.0:
+        return np.zeros(n)
+    target = off_rtol * norm
+
+    def off_norm(m):
+        off = m.copy()
+        np.fill_diagonal(off, 0.0)
+        return np.linalg.norm(off)
+
+    for _ in range(max_sweeps):
+        if off_norm(work) < target:
+            break
+        # Rotating truly negligible entries just churns rounding noise.
+        skip = target / (n * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = work[p, p], work[q, q]
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + np.hypot(1.0, tau))
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                col_p = work[:, p].copy()
+                col_q = work[:, q].copy()
+                new_p = c * col_p - s * col_q
+                new_q = s * col_p + c * col_q
+                work[:, p] = new_p
+                work[p, :] = new_p
+                work[:, q] = new_q
+                work[q, :] = new_q
+                work[p, p] = app - t * apq
+                work[q, q] = aqq + t * apq
+                work[p, q] = 0.0
+                work[q, p] = 0.0
+    if off_norm(work) >= target:
+        raise ConvergenceError(
+            f"Jacobi sweep budget ({max_sweeps}) exhausted; "
+            f"off-diagonal norm {off_norm(work):.3e} >= {target:.3e}"
+        )
+    return np.sort(np.diag(work))[::-1]
 
 
 class NaiveDecodeSession:

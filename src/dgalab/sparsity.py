@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import csv_text
 from .errors import InvalidInputError, InvalidRateError
 from .numerics import check_prob_vector, softmax_rows
 from .rng import RngStream
@@ -107,9 +108,8 @@ def named_source(name: str, d: int = 16) -> LogitSource:
         "gaussian": gaussian_source,
         "student_t": student_t_source,
         "mixture": mixture_source,
+        "attention": lambda: attention_source(d),
     }
-    if name == "attention":
-        return attention_source(d)
     if name not in table:
         raise InvalidInputError(f"unknown logit source {name!r}")
     return table[name]()
@@ -186,8 +186,8 @@ def p_sparse_lower_bound_detail(
     The per-coordinate head/tail events are evaluated in log space so
     heavy-tailed logits cannot overflow. When x_grid is None, 32
     log-spaced points spanning the [1st, 99th] percentile of exp(xi_j)
-    are used. Non-exchangeable sources average the per-x probability over
-    all coordinates before maximizing.
+    are used. Non-exchangeable sources average the per-x bound over all
+    coordinates before maximizing.
     """
     rho = _check_rho(rho, L)
     if trials < 10_000:
@@ -201,51 +201,37 @@ def p_sparse_lower_bound_detail(
 
     log_thresh = np.log(L * rho - 1.0)
     block = max(1, _CHUNK_ENTRIES // L)
-
-    if source.exchangeable:
-        log_head = np.empty(trials)
-        log_tail = np.empty(trials)
-        for start in range(0, trials, block):
-            stop = min(trials, start + block)
-            logits = source.draw(rng.child(start), stop - start, L)
-            log_head[start:stop] = logits[:, 0]
-            log_tail[start:stop] = _logsumexp_rest(logits)
-        if x_grid is None:
-            lo, hi = np.percentile(log_head, [1.0, 99.0])
-            grid_logs = np.linspace(lo, hi, 32)
+    # One representative coordinate for an exchangeable source, all L
+    # coordinates otherwise; the grid search below treats both alike.
+    J = 1 if source.exchangeable else L
+    log_head = np.empty((trials, J))
+    log_tail = np.empty((trials, J))
+    for start in range(0, trials, block):
+        stop = min(trials, start + block)
+        logits = source.draw(rng.child(start), stop - start, L)
+        if source.exchangeable:
+            log_head[start:stop, 0] = logits[:, 0]
+            log_tail[start:stop, 0] = _logsumexp_rest(logits)
         else:
-            grid_logs = np.log(np.sort(x_grid))
-        best = BoundDetail(-np.inf, 0.0, np.nan)
-        for lx in grid_logs:
-            union = (log_head <= lx) | (log_thresh + lx <= log_tail)
-            u = float(union.mean())
-            bound = min(1.0, max(0.0, 1.0 - u**L))
-            if bound > best.bound:
-                se = L * u ** max(0, L - 1) * np.sqrt(u * (1.0 - u) / trials)
-                best = BoundDetail(bound, float(se), float(np.exp(lx)))
-        return best
-
-    # Non-exchangeable source: per-coordinate bounds, averaged over j.
-    logits = source.draw(rng, trials, L)
-    log_total = np.logaddexp.reduce(logits, axis=1)
-    with np.errstate(divide="ignore"):
-        log_rest = log_total[:, None] + np.log1p(
-            -np.exp(np.minimum(logits - log_total[:, None], 0.0))
-        )
+            log_total = np.logaddexp.reduce(logits, axis=1)[:, None]
+            log_head[start:stop] = logits
+            with np.errstate(divide="ignore"):
+                log_tail[start:stop] = log_total + np.log1p(
+                    -np.exp(np.minimum(logits - log_total, 0.0))
+                )
     if x_grid is None:
-        lo, hi = np.percentile(logits, [1.0, 99.0])
+        lo, hi = np.percentile(log_head, [1.0, 99.0])
         grid_logs = np.linspace(lo, hi, 32)
     else:
         grid_logs = np.log(np.sort(x_grid))
     best = BoundDetail(-np.inf, 0.0, np.nan)
     for lx in grid_logs:
-        union = (logits <= lx) | (log_thresh + lx <= log_rest)
-        u_per_j = union.mean(axis=0)
-        bounds = np.clip(1.0 - u_per_j**L, 0.0, 1.0)
-        bound = float(bounds.mean())
+        union = (log_head <= lx) | (log_thresh + lx <= log_tail)
+        u = union.mean(axis=0)
+        bound = float(np.clip(1.0 - u**L, 0.0, 1.0).mean())
         if bound > best.bound:
-            se_per_j = L * u_per_j ** (L - 1) * np.sqrt(u_per_j * (1.0 - u_per_j) / trials)
-            se = float(np.sqrt(np.mean(se_per_j**2) / L))
+            se_j = L * u ** (L - 1) * np.sqrt(u * (1.0 - u) / trials)
+            se = float(np.sqrt(np.mean(se_j**2) / J))
             best = BoundDetail(bound, se, float(np.exp(lx)))
     return best
 
@@ -260,6 +246,8 @@ class SparsityCell:
 @dataclass
 class SparsityReport:
     """Empirical and bound sparsity probabilities keyed by (L, rho)."""
+
+    HEADER = ("L", "rho", "empirical_p", "bound_p", "samples")
 
     entries: dict = field(default_factory=dict)
 
@@ -279,17 +267,12 @@ class SparsityReport:
         return out
 
     def to_csv_text(self) -> str:
-        from .csvio import format_value
-
-        lines = ["L,rho,empirical_p,bound_p,samples"]
-        for row in self.rows():
-            lines.append(",".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.HEADER, self.rows())
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SparsityReport":
         lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "L,rho,empirical_p,bound_p,samples":
+        if not lines or lines[0] != ",".join(cls.HEADER):
             raise InvalidInputError("bad sparsity CSV header")
         report = cls()
         for ln in lines[1:]:

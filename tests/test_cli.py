@@ -98,6 +98,21 @@ class TestSubcommands:
         assert run(["coding", "--L", "10", "--m", "3", "--instances", "1",
                     "--out", str(tmp_path)]) == 2
 
+    def test_noise_rejects_indivisible_group(self, tmp_path, capsys):
+        assert run(["noise", "--L", "10", "--m", "3", "--trials", "100",
+                    "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+        assert "group size 3 does not divide L=10" in capsys.readouterr().err
+
+    def test_unknown_sampler_is_usage_error(self, tmp_path, capsys):
+        """Flag and config values both reach the one name check."""
+        assert run(["sparsity", "--sampler", "nope", "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("sampler=nope\n")
+        assert run(["sparsity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+        assert capsys.readouterr().err.count("unknown logit source 'nope'") == 2
+
     def test_noise_outputs(self, tmp_path):
         assert run(["noise", "--L", "8", "--m", "1,2", "--sigma", "0.001",
                     "--trials", "4000", "--seed", "2", "--out", str(tmp_path)]) == 0

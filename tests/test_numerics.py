@@ -1,7 +1,9 @@
-"""Kernels: softmax, simplex projection, Jacobi eigenvalues, KL."""
+"""Kernels: softmax, simplex projection, symmetric eigenvalues, KL."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgalab.errors import (
     ConvergenceError,
@@ -17,6 +19,7 @@ from dgalab.numerics import (
     softmax,
     sym_eigenvalues,
 )
+from dgalab.oracles import jacobi_eigenvalues
 from dgalab.rng import RngStream
 
 
@@ -141,7 +144,37 @@ class TestSymEigenvalues:
     def test_sweep_budget_raises(self):
         a = np.eye(6) + 0.1
         with pytest.raises(ConvergenceError):
-            sym_eigenvalues(a, max_sweeps=0)
+            jacobi_eigenvalues(a, max_sweeps=0)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("kind", ["repeated", "zero", "gram"])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_matches_jacobi_oracle(self, kind, scale, data):
+        """LAPACK and the cyclic Jacobi oracle agree within 1e-10 max|lambda|
+        on integer matrices with repeated eigenvalues, the zero matrix and
+        rank-2 Gram matrices, at scales 1e-100, 1 and 1e100."""
+        n = data.draw(st.integers(1, 24))
+        a = np.zeros((n, n))
+        if kind == "repeated":
+            # Two copies of one integer block: every eigenvalue but the
+            # spare diagonal entry's appears at least twice.
+            h = n // 2
+            ints = data.draw(st.lists(st.integers(-3, 3), min_size=h * h, max_size=h * h))
+            block = np.array(ints, dtype=np.float64).reshape(h, h)
+            a[:h, :h] = a[h : 2 * h, h : 2 * h] = block + block.T
+            if n % 2:
+                a[-1, -1] = data.draw(st.integers(-3, 3))
+            perm = data.draw(st.permutations(range(n)))
+            a = a[np.ix_(perm, perm)]
+        elif kind == "gram":
+            entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+            x = np.array(data.draw(st.lists(entries, min_size=2 * n, max_size=2 * n)))
+            a = x.reshape(n, 2) @ x.reshape(n, 2).T
+        a = a * scale
+        want = sym_eigenvalues(a)
+        got = jacobi_eigenvalues(a)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestConditionNumber:

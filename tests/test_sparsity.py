@@ -14,6 +14,7 @@ from dgalab.sparsity import (
     gaussian_source,
     is_rho_sparse,
     mixture_source,
+    named_source,
     p_sparse_lower_bound,
     p_sparse_lower_bound_detail,
     sample_weight_rows,
@@ -171,6 +172,31 @@ class TestLowerBound:
         rows = sample_weight_rows(lopsided, 32, 4000, RngStream(17))
         emp = empirical_p_sparse(rows, 0.25)
         assert emp >= detail.bound - 3.0 * (detail.standard_error + np.sqrt(emp * (1 - emp) / 4000 + 1e-9))
+
+    def test_per_coordinate_arm_agrees_with_single_coordinate_arm(self):
+        """The same i.i.d. Gaussian source declared non-exchangeable runs
+        the J = L arm of the grid search; it must agree with the J = 1 arm
+        within three combined standard errors."""
+        from dgalab.sparsity import LogitSource
+
+        iid = gaussian_source()
+        per_coord = LogitSource("gaussian per-coordinate", iid.draw, exchangeable=False)
+        one = p_sparse_lower_bound_detail(iid, 32, 0.25, trials=10_000, rng=RngStream(18))
+        every = p_sparse_lower_bound_detail(per_coord, 32, 0.25, trials=10_000, rng=RngStream(18))
+        slack = 3.0 * np.hypot(one.standard_error, every.standard_error)
+        assert abs(one.bound - every.bound) <= slack
+        # Averaging over L coordinates shrinks the standard error.
+        assert every.standard_error < 0.5 * one.standard_error
+
+
+def test_named_source_table():
+    """The four CLI names map to their sources; d reaches the attention one."""
+    assert named_source("gaussian").name == gaussian_source().name
+    assert named_source("student_t").name == student_t_source().name
+    assert named_source("mixture").name == mixture_source().name
+    assert named_source("attention", d=4).name == "attention(d=4)"
+    with pytest.raises(InvalidInputError):
+        named_source("nope")
 
 
 class TestSparsityProfile:
