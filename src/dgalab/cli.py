@@ -136,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args) -> argparse.Namespace:
     """Resolve every flag of the subcommand: command-line value if given,
-    else config value, else default. Adds the seeded stream as `rng` and
-    creates the output directory."""
+    else config value, else default. Adds the seeded stream as `rng`."""
     cfg = load_config(args.config) if args.config is not None else {}
     values = {}
     for key, (parse, default, _) in _COMMANDS[args.command][1].items():
@@ -145,7 +144,6 @@ def _prepare(args) -> argparse.Namespace:
         if given is None:
             given = parse(cfg[key]) if key in cfg else default
         values[key] = given
-    os.makedirs(values["out"], exist_ok=True)
     return argparse.Namespace(rng=RngStream(values["seed"]), **values)
 
 

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .matrixio import format_float
@@ -26,5 +28,7 @@ def csv_text(header, rows) -> str:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write the CSV, creating its directory first."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(csv_text(header, rows))

@@ -1,13 +1,14 @@
 """Autoregressive decoding with incremental block aggregation.
 
-Prefill runs the grouped attention pipeline and caches its focal rows and
-aggregated block rows. Each decode step attends over
-[focal | aggregated blocks | pending tail] -- everything cached is in the
-past, so no mask is needed -- and appends the new token to the tail. Once
-the tail reaches m' = ceil(1.1 m) rows, the oldest m of them collapse
-into one new aggregated row, weighted by the current query's softmax over
-those m keys. The ledger tracks exact per-token column counts and cache
-sizes against the vanilla full-attention baseline.
+The whole cache is one growable (2, capacity, d) buffer of key and value
+rows, [focal | aggregated blocks | pending tail], seeded by prefill from
+the grouped attention layout. Each decode step writes the new token at
+the end of the tail and attends over the live rows -- everything cached
+is in the past, so no mask is needed. Once the tail reaches
+m' = ceil(1.1 m) rows, the oldest m of them collapse in place into one
+new aggregated row, weighted by the current query's softmax over those m
+keys. The ledger tracks exact per-token column counts and cache sizes
+against the vanilla full-attention baseline.
 """
 
 from __future__ import annotations
@@ -36,19 +37,23 @@ class ComplexityLedger:
     score_dot_products: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DecoderState:
-    """Single-owner mutable cache for one decode session."""
+    """Single-owner mutable cache for one decode session.
+
+    cache is one (2, capacity, d) buffer, keys in cache[0] and values in
+    cache[1], laid out as build_grouped_kv lays out its rows plus the
+    tail: [focal | aggregated blocks | tail]. Rows [0, rows) are live;
+    the capacity doubles when a new token finds the buffer full.
+    """
 
     d: int
     m: int
     gamma: float
-    k_focal: np.ndarray
-    v_focal: np.ndarray
-    k_groups: np.ndarray
-    v_groups: np.ndarray
-    k_tail: np.ndarray
-    v_tail: np.ndarray
+    cache: np.ndarray
+    focal_rows: int = 0
+    group_rows: int = 0
+    rows: int = 0
     generated: int = 0
     prefill_tokens: int = 0
     prefill_dots: int = 0
@@ -57,20 +62,11 @@ class DecoderState:
 
     @classmethod
     def empty(cls, d: int, m: int, gamma: float) -> "DecoderState":
-        k_f, v_f, k_g, v_g, k_t, v_t = (np.zeros((0, d)) for _ in range(6))
-        return cls(d, m, gamma, k_f, v_f, k_g, v_g, k_t, v_t)
-
-    @property
-    def focal_rows(self) -> int:
-        return self.k_focal.shape[0]
-
-    @property
-    def group_rows(self) -> int:
-        return self.k_groups.shape[0]
+        return cls(d, m, gamma, np.zeros((2, 0, d)))
 
     @property
     def tail_rows(self) -> int:
-        return self.k_tail.shape[0]
+        return self.rows - self.focal_rows - self.group_rows
 
     @property
     def total_tokens(self) -> int:
@@ -78,9 +74,9 @@ class DecoderState:
 
 
 def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, DecoderState]:
-    """Run grouped attention over the prompt and seed the decode caches.
+    """Run grouped attention over the prompt and seed the decode cache.
 
-    Every prompt token lands in exactly one cache: focal rows stay
+    Every prompt token lands in exactly one cache row: focal rows stay
     individual, non-focal rows are already aggregated into their blocks
     (the divisibility promotion leaves no ungrouped remainder), so the
     tail starts empty.
@@ -89,25 +85,24 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     outputs = dga_attention_with_partition(batch, partition)
     kv = build_grouped_kv(batch, partition)
     L, d = batch.q.shape
-    state = DecoderState.empty(d, m, gamma)
-    state.k_focal = kv.k_focal.copy()
-    state.v_focal = kv.v_focal.copy()
-    state.k_groups = kv.k_agg.copy()
-    state.v_groups = kv.v_agg.copy()
-    state.prefill_tokens = L
-    comp_width = m if partition.k > 0 else 0
-    state.prefill_dots = L * (partition.r + partition.k + comp_width)
+    r, k = partition.r, partition.k
+    comp_width = m if k > 0 else 0
+    state = DecoderState(
+        d, m, gamma, kv.rows, focal_rows=r, group_rows=k, rows=r + k,
+        prefill_tokens=L, prefill_dots=L * (r + k + comp_width),
+    )
     return outputs, state
 
 
 def decode_step(
     state: DecoderState, q_new, k_new, v_new
 ) -> tuple[np.ndarray, DecoderState]:
-    """Attend the new token over the caches, then maybe aggregate.
+    """Attend the new token over the cache, then maybe aggregate.
 
     Mutates `state` in place and returns it alongside the attention
     output. Aggregation fires when the tail reaches ceil(1.1 m) rows,
-    collapsing the oldest m with weights softmax(q . K_member / sqrt(d)).
+    collapsing the oldest m with weights softmax(q . K_member / sqrt(d));
+    its m member dot products count towards decode_dots.
     """
     q = np.asarray(q_new, dtype=np.float64).reshape(-1)
     k = np.asarray(k_new, dtype=np.float64).reshape(-1)
@@ -117,27 +112,32 @@ def decode_step(
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
         raise InvalidInputError("q/k/v contain non-finite entries")
 
-    state.k_tail = np.vstack([state.k_tail, k[None, :]])
-    state.v_tail = np.vstack([state.v_tail, v[None, :]])
+    if state.rows == state.cache.shape[1]:
+        grow = np.empty((2, max(state.rows, 1), state.d))
+        state.cache = np.concatenate([state.cache, grow], axis=1)
+    state.cache[:, state.rows] = k, v
+    state.rows += 1
     state.generated += 1
 
-    keys = np.concatenate([state.k_focal, state.k_groups, state.k_tail])
-    values = np.concatenate([state.v_focal, state.v_groups, state.v_tail])
+    keys, values = state.cache[:, : state.rows]
     scale = 1.0 / np.sqrt(state.d)
     weights = softmax((keys @ q) * scale)
     out = weights @ values
 
-    columns = keys.shape[0]
+    columns = state.rows
     state.decode_dots += columns
 
-    if state.tail_rows >= regroup_threshold(state.m):
-        members_k = state.k_tail[: state.m]
-        members_v = state.v_tail[: state.m]
+    m = state.m
+    if state.tail_rows >= regroup_threshold(m):
+        g = state.focal_rows + state.group_rows
+        members_k, members_v = state.cache[:, g : g + m]
         p = softmax((members_k @ q) * scale)
-        state.k_groups = np.vstack([state.k_groups, (p @ members_k)[None, :]])
-        state.v_groups = np.vstack([state.v_groups, (p @ members_v)[None, :]])
-        state.k_tail = state.k_tail[state.m :]
-        state.v_tail = state.v_tail[state.m :]
+        # The aggregate replaces the first member; leftover tail rows move up.
+        state.cache[:, g] = p @ members_k, p @ members_v
+        state.cache[:, g + 1 : state.rows - m + 1] = state.cache[:, g + m : state.rows]
+        state.group_rows += 1
+        state.rows -= m - 1
+        state.decode_dots += m
 
     state.trace.append(
         (
@@ -146,7 +146,7 @@ def decode_step(
             state.group_rows,
             state.tail_rows,
             columns,
-            state.focal_rows + state.group_rows + state.tail_rows,
+            state.rows,
         )
     )
     return out, state
@@ -155,11 +155,11 @@ def decode_step(
 def ledger(state: DecoderState) -> ComplexityLedger:
     """Counts for the current state: next-token column cost equals
     focal + block + tail rows; cache entries likewise; dot products
-    accumulate prefill blocks plus every decode step's columns."""
-    rows = state.focal_rows + state.group_rows + state.tail_rows
+    accumulate prefill blocks plus every decode step's columns and
+    regroup members."""
     return ComplexityLedger(
-        per_token_columns=rows,
-        cache_entries=rows,
+        per_token_columns=state.rows,
+        cache_entries=state.rows,
         score_dot_products=state.prefill_dots + state.decode_dots,
     )
 

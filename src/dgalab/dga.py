@@ -156,15 +156,14 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
 class GroupedKV:
     """Compact attention layout for one partition.
 
-    k_focal/v_focal hold the focal rows in ascending token order;
-    k_agg/v_agg hold one aggregated row per block (weights in p_rows, one
-    softmax per block from the block's last-position query).
+    rows is one (2, r + k, d) array: rows[0] holds keys and rows[1]
+    values, the r focal rows first in ascending token order, then one
+    aggregated row per block (weights in p_rows, one softmax per block
+    from the block's last-position query). Decoding extends this same
+    layout with its pending tail.
     """
 
-    k_focal: np.ndarray
-    v_focal: np.ndarray
-    k_agg: np.ndarray
-    v_agg: np.ndarray
+    rows: np.ndarray
     p_rows: np.ndarray
     partition: TokenPartition
 
@@ -172,17 +171,17 @@ class GroupedKV:
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> GroupedKV:
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
-    groups = partition.groups
+    groups, r = partition.groups, partition.r
     scale = 1.0 / np.sqrt(batch.width)
     members_k = batch.k[groups]
     p_rows = softmax_rows(
         np.einsum("gmd,gd->gm", members_k, batch.q[groups[:, -1]]) * scale
     )
-    k_agg = np.einsum("gm,gmd->gd", p_rows, members_k)
-    v_agg = np.einsum("gm,gmd->gd", p_rows, batch.v[groups])
-    k_f = batch.k[partition.focal]
-    v_f = batch.v[partition.focal]
-    return GroupedKV(k_f, v_f, k_agg, v_agg, p_rows, partition)
+    rows = np.empty((2, r + partition.k, batch.width))
+    rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
+    rows[0, r:] = np.einsum("gm,gmd->gd", p_rows, members_k)
+    rows[1, r:] = np.einsum("gm,gmd->gd", p_rows, batch.v[groups])
+    return GroupedKV(rows, p_rows, partition)
 
 
 def _straddled_members(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
@@ -226,9 +225,7 @@ def dga_attention_with_partition(
     complement member, and one softmax over all r + k + m columns with
     hidden columns at -inf, so they get exactly zero weight.
     """
-    kv = build_grouped_kv(batch, partition)
-    keys = np.concatenate([kv.k_focal, kv.k_agg])
-    values = np.concatenate([kv.v_focal, kv.v_agg])
+    keys, values = build_grouped_kv(batch, partition).rows
     n = keys.shape[0]
     scale = 1.0 / np.sqrt(batch.width)
     out = np.empty_like(batch.q)

@@ -99,17 +99,22 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 2
 
     def test_noise_rejects_indivisible_group(self, tmp_path, capsys):
+        out = tmp_path / "out"
         assert run(["noise", "--L", "10", "--m", "3", "--trials", "100",
-                    "--out", str(tmp_path)]) == 2
-        assert not list(tmp_path.glob("*.csv"))
+                    "--out", str(out)]) == 2
+        assert not out.exists()
         assert "group size 3 does not divide L=10" in capsys.readouterr().err
 
     def test_unknown_sampler_is_usage_error(self, tmp_path, capsys):
-        """Flag and config values both reach the one name check."""
-        assert run(["sparsity", "--sampler", "nope", "--out", str(tmp_path)]) == 2
+        """Flag and config values both reach the one name check, and a
+        rejected run leaves no output directory behind."""
+        out = tmp_path / "out"
+        assert run(["sparsity", "--sampler", "nope", "--out", str(out)]) == 2
+        assert not out.exists()
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("sampler=nope\n")
-        assert run(["sparsity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert run(["sparsity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
         assert not list(tmp_path.glob("*.csv"))
         assert capsys.readouterr().err.count("unknown logit source 'nope'") == 2
 

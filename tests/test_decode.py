@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch
 from dgalab.decode import (
@@ -112,6 +114,15 @@ class TestDecodeStep:
             assert total == state.total_tokens
             assert state.tail_rows < regroup_threshold(state.m)
 
+    def test_cache_is_written_in_place_and_doubles_when_full(self):
+        rng = np.random.default_rng(13)
+        state = DecoderState.empty(3, 2, 0.1)
+        for _ in range(40):
+            cache, full = state.cache, state.rows == state.cache.shape[1]
+            _, state = decode_step(state, *rng.normal(size=(3, 3)))
+            assert (state.cache is not cache) == full
+            assert state.cache.shape[1] in (1, 2, 4, 8, 16, 32)
+
     def test_dimension_mismatch_rejected(self):
         state = DecoderState.empty(4, 2, 0.1)
         with pytest.raises(InvalidInputError):
@@ -155,6 +166,22 @@ class TestLedger:
         assert van.cache_entries == 100
         assert van.score_dot_products == 100 * 100
 
+    def test_regroup_dots_are_counted(self):
+        """A regroup step also pays the m member dot products of its softmax."""
+        rng = np.random.default_rng(12)
+        m = 4
+        _, state = prefill(random_batch(rng, 16, 4), m, 0.25)
+        kinds = set()
+        for _ in range(2 * regroup_threshold(m)):
+            before, groups = ledger(state).score_dot_products, state.group_rows
+            _, state = decode_step(state, *rng.normal(size=(3, 4)))
+            regroup = state.group_rows > groups
+            kinds.add(regroup)
+            columns = state.trace[-1][4]
+            want = before + columns + (m if regroup else 0)
+            assert ledger(state).score_dot_products == want
+        assert kinds == {False, True}
+
     def test_dots_accumulate(self):
         rng = np.random.default_rng(11)
         batch = random_batch(rng, 16, 4)
@@ -162,3 +189,58 @@ class TestLedger:
         base = ledger(state).score_dot_products
         _, state = decode_step(state, *rng.normal(size=(3, 4)))
         assert ledger(state).score_dot_products == base + state.trace[-1][4]
+
+
+@st.composite
+def decode_sessions(draw):
+    L = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    gamma = draw(st.sampled_from([1.0 / L, 0.1, 0.5, 1.0]))
+    steps = draw(st.integers(0, 60))
+    # One rejected input, tried before step `at`: a wrong width or a NaN.
+    at = draw(st.integers(0, steps))
+    bad = (draw(st.integers(0, 2)), draw(st.sampled_from(["width", "nan"])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return L, d, m, gamma, steps, at, bad, np.random.default_rng(seed)
+
+
+def _snapshot(state):
+    return (state.rows, state.generated, state.decode_dots, len(state.trace),
+            state.cache[:, : state.rows].copy())
+
+
+def _assert_rejected_without_change(state, d, bad, rng):
+    which, kind = bad
+    qkv = list(rng.normal(size=(3, d)))
+    if kind == "width":
+        qkv[which] = np.zeros(d + 1)
+    else:
+        qkv[which][rng.integers(d)] = np.nan
+    before = _snapshot(state)
+    with pytest.raises(InvalidInputError):
+        decode_step(state, *qkv)
+    after = _snapshot(state)
+    assert after[:4] == before[:4]
+    np.testing.assert_array_equal(after[4], before[4])
+
+
+@given(decode_sessions())
+def test_decode_session_matches_oracle_and_keeps_its_invariants(case):
+    L, d, m, gamma, steps, at, bad, rng = case
+    batch = random_batch(rng, L, d)
+    _, state = prefill(batch, m, gamma)
+    session = NaiveDecodeSession.from_prefill(batch, compute_partition(batch, m, gamma))
+    for step in range(steps + 1):
+        if step == at:
+            _assert_rejected_without_change(state, d, bad, rng)
+        if step == steps:
+            break
+        rows_before = state.rows
+        q, k, v = rng.normal(size=(3, d))
+        got, state = decode_step(state, q, k, v)
+        np.testing.assert_allclose(got, session.step(q, k, v), rtol=0, atol=1e-12)
+        assert state.trace[-1][4] == rows_before + 1
+        tokens = state.focal_rows + m * state.group_rows + state.tail_rows
+        assert tokens == state.total_tokens == L + step + 1
+        assert state.tail_rows < regroup_threshold(m)

@@ -166,8 +166,8 @@ class TestGroupedKV:
         part = compute_partition(batch, 1, 0.3)
         kv = build_grouped_kv(batch, part)
         for g, members in enumerate(part.groups):
-            np.testing.assert_allclose(kv.k_agg[g], batch.k[members[0]], atol=1e-15)
-            np.testing.assert_allclose(kv.v_agg[g], batch.v[members[0]], atol=1e-15)
+            np.testing.assert_allclose(kv.rows[0, part.r + g], batch.k[members[0]], atol=1e-15)
+            np.testing.assert_allclose(kv.rows[1, part.r + g], batch.v[members[0]], atol=1e-15)
 
     def test_aggregates_match_loop_oracle(self):
         rng = np.random.default_rng(10)
@@ -183,8 +183,8 @@ class TestGroupedKV:
             p = e / e.sum()
             want_k = sum(p[t] * batch.k[j] for t, j in enumerate(members))
             want_v = sum(p[t] * batch.v[j] for t, j in enumerate(members))
-            np.testing.assert_allclose(kv.k_agg[g], want_k, atol=1e-12)
-            np.testing.assert_allclose(kv.v_agg[g], want_v, atol=1e-12)
+            np.testing.assert_allclose(kv.rows[0, part.r + g], want_k, atol=1e-12)
+            np.testing.assert_allclose(kv.rows[1, part.r + g], want_v, atol=1e-12)
             assert kv.p_rows[g].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_neighbor_spans(self):
