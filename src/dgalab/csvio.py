@@ -29,6 +29,6 @@ def csv_text(header, rows) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write the CSV, creating its directory first."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(csv_text(header, rows))

@@ -62,6 +62,8 @@ class DecoderState:
 
     @classmethod
     def empty(cls, d: int, m: int, gamma: float) -> "DecoderState":
+        if d < 1 or m < 1:
+            raise InvalidInputError("d and m must be at least 1")
         return cls(d, m, gamma, np.zeros((2, 0, d)))
 
     @property

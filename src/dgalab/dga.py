@@ -1,9 +1,10 @@
 """Dynamic group attention.
 
-Pipeline: score token importance from (exact or sampled) attention
-weights, split tokens into focal and non-focal sets, chunk the non-focal
-subsequence into blocks of m, aggregate each block's keys/values with the
-block's last-position query, and attend over the compact layout
+Pipeline: score each token by its causal attention weight averaged over
+every query row that sees it (exact) or over a sampled set of rows, split
+tokens into focal and non-focal sets, chunk the non-focal subsequence
+into blocks of m, aggregate each block's keys/values with the block's
+last-position query, and attend over the compact layout
 
     [focal tokens | aggregated blocks | complement members]
 
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBatch, causal_attention
+from .attention import AttentionBatch
 from .errors import InvalidInputError, InvalidSpecError
-from .numerics import softmax, softmax_rows
+from .numerics import softmax_rows
 from .rng import RngStream
 
-_ROW_BLOCK = 128  # query rows per attend step; bounds its memory to O(B (r + k + m))
+_ROW_BLOCK = 128  # query rows per score/attend step: memory O(B L) / O(B (r + k + m))
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,10 @@ class TokenPartition:
         return self.groups.shape[0]
 
 
-def importance_scores_exact(weights: np.ndarray) -> np.ndarray:
-    """Column sums of the causal weight matrix, each divided by the
-    number of rows that can see the column (L - i for 0-based column i)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise InvalidInputError("weights must be a square causal matrix")
-    L = weights.shape[0]
-    return weights.sum(axis=0) / (L - np.arange(L))
+def importance_scores_exact(batch: AttentionBatch) -> np.ndarray:
+    """Each column's causal attention weight averaged over the L - i rows
+    that can see it: the sampled estimate with every row sampled."""
+    return approx_importance_scores(batch, SampleSpec(batch.length, 0))
 
 
 def approx_importance_scores(
@@ -110,9 +107,13 @@ def approx_importance_scores(
     positions = spec.positions(L, rng)
     scale = 1.0 / np.sqrt(batch.width)
     col_sum = np.zeros(L)
-    for p in positions:
-        row = softmax((batch.k[: p + 1] @ batch.q[p]) * scale)
-        col_sum[: p + 1] += row
+    for start in range(0, positions.size, _ROW_BLOCK):
+        rows = positions[start : start + _ROW_BLOCK]
+        end = rows[-1] + 1
+        logits = batch.q[rows] @ batch.k[:end].T
+        logits *= scale
+        logits[np.arange(end) > rows[:, None]] = -np.inf
+        col_sum[:end] += softmax_rows(logits).sum(axis=0)
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
     scores = np.zeros(L)
@@ -253,13 +254,10 @@ def compute_partition(
     spec: SampleSpec | None = None,
     rng: RngStream | None = None,
 ) -> TokenPartition:
-    """Score tokens (exactly, or via the sampling spec) and partition."""
+    """Score tokens over every query row, or the spec's sampled rows, and partition."""
     if spec is None:
-        _, weights = causal_attention(batch)
-        scores = importance_scores_exact(weights)
-    else:
-        scores = approx_importance_scores(batch, spec, rng)
-    return partition_tokens(scores, gamma, m)
+        return partition_tokens(importance_scores_exact(batch), gamma, m)
+    return partition_tokens(approx_importance_scores(batch, spec, rng), gamma, m)
 
 
 def dga_attention(

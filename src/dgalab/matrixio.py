@@ -43,7 +43,7 @@ def matrix_to_text(mat) -> str:
 
 
 def text_to_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.rstrip().splitlines()
     if not lines or lines[0].strip() != _HEADER:
         raise InvalidInputError(f"missing '{_HEADER}' header line")
     try:
@@ -52,7 +52,7 @@ def text_to_matrix(text: str) -> np.ndarray:
         raise InvalidInputError("malformed dimension line") from exc
     if rows <= 0 or cols <= 0:
         raise InvalidInputError("dimensions must be positive")
-    if len(lines) < 2 + rows:
+    if len(lines) != 2 + rows:
         raise InvalidInputError(f"expected {rows} data rows, found {len(lines) - 2}")
     out = np.empty((rows, cols), dtype=np.float64)
     for i in range(rows):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgalab.cli import build_parser, load_config, main
+from dgalab.csvio import write_csv
 from dgalab.sparsity import SparsityReport
 
 
@@ -179,3 +180,9 @@ class TestSubcommands:
             assert run(argv + ["--seed", "11", "--out", str(d2)]) == 0
             for name in files:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_write_csv_accepts_a_bare_filename(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_csv("bare.csv", ["a", "b"], [[1, 0.5]])
+    assert (tmp_path / "bare.csv").read_text() == "a,b\n1,0.5\n"

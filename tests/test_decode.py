@@ -123,6 +123,11 @@ class TestDecodeStep:
             assert (state.cache is not cache) == full
             assert state.cache.shape[1] in (1, 2, 4, 8, 16, 32)
 
+    def test_empty_rejects_nonpositive_width_or_block(self):
+        for d, m in [(2, 0), (0, 2), (-1, 2), (2, -3)]:
+            with pytest.raises(InvalidInputError):
+                DecoderState.empty(d, m, 0.1)
+
     def test_dimension_mismatch_rejected(self):
         state = DecoderState.empty(4, 2, 0.1)
         with pytest.raises(InvalidInputError):

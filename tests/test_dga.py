@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
@@ -19,6 +21,7 @@ from dgalab.errors import InvalidInputError, InvalidSpecError
 from dgalab.oracles import (
     importance_scores_loop,
     mask_by_reachability,
+    naive_causal_attention,
     naive_dga_attention,
 )
 from dgalab.rng import RngStream
@@ -30,30 +33,59 @@ def random_batch(rng, L, d):
     )
 
 
+def sampled_scores_oracle(weights, positions):
+    """Column i's mean weight over the sampled rows p >= i; 0 if none."""
+    L = weights.shape[0]
+    scores = np.zeros(L)
+    for i in range(L):
+        seen = [weights[p, i] for p in positions if p >= i]
+        if seen:
+            scores[i] = sum(seen) / len(seen)
+    return scores
+
+
+@st.composite
+def scoring_cases(draw):
+    """Small batches with logits scaled to reach +-reach, and a SampleSpec."""
+    L = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    recent = draw(st.integers(0, L))
+    random = draw(st.integers(1 if recent == 0 else 0, L - recent))
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
+    q *= reach / np.abs(q @ k.T / np.sqrt(d)).max()
+    return AttentionBatch(q, k, v), SampleSpec(recent, random), draw(st.integers(0, 2**32 - 1))
+
+
 class TestImportanceScores:
     def test_fixed_three_token_case(self):
-        weights = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        # Zero queries give uniform causal weights: rows [1], [1/2, 1/2], [1/3] * 3.
+        rng = np.random.default_rng(24)
+        batch = AttentionBatch(np.zeros((3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
         np.testing.assert_allclose(
-            importance_scores_exact(weights), [1.7 / 3, 0.4, 0.5], atol=1e-12
+            importance_scores_exact(batch), [11 / 18, 5 / 12, 1 / 3], atol=1e-12
         )
 
     def test_single_token(self):
-        np.testing.assert_allclose(importance_scores_exact(np.array([[1.0]])), [1.0])
+        batch = AttentionBatch(np.ones((1, 3)), np.ones((1, 3)), np.ones((1, 3)))
+        np.testing.assert_allclose(importance_scores_exact(batch), [1.0])
 
     def test_uniform_causal_matches_loop_oracle(self):
         L = 12
-        weights = np.zeros((L, L))
-        for i in range(L):
-            weights[i, : i + 1] = 1.0 / (i + 1)
+        rng = np.random.default_rng(25)
+        batch = AttentionBatch(np.zeros((L, 3)), rng.normal(size=(L, 3)), rng.normal(size=(L, 3)))
+        _, weights = naive_causal_attention(batch)
         np.testing.assert_allclose(
-            importance_scores_exact(weights), importance_scores_loop(weights), atol=1e-13
+            importance_scores_exact(batch), importance_scores_loop(weights), atol=1e-13
         )
 
     def test_random_weights_match_loop_oracle(self):
         rng = np.random.default_rng(0)
-        _, weights = causal_attention(random_batch(rng, 10, 4))
+        batch = random_batch(rng, 10, 4)
+        _, weights = causal_attention(batch)
         np.testing.assert_allclose(
-            importance_scores_exact(weights), importance_scores_loop(weights), atol=1e-13
+            importance_scores_exact(batch), importance_scores_loop(weights), atol=1e-13
         )
 
 
@@ -62,7 +94,7 @@ class TestApproxImportanceScores:
         rng = np.random.default_rng(1)
         batch = random_batch(rng, 10, 4)
         _, weights = causal_attention(batch)
-        exact = importance_scores_exact(weights)
+        exact = importance_scores_loop(weights)
         approx = approx_importance_scores(batch, SampleSpec(10, 0))
         np.testing.assert_allclose(approx, exact, atol=1e-12)
 
@@ -72,7 +104,7 @@ class TestApproxImportanceScores:
         _, weights = causal_attention(batch)
         approx = approx_importance_scores(batch, SampleSpec(4, 8), RngStream(2))
         np.testing.assert_allclose(
-            approx, importance_scores_exact(weights), atol=1e-12
+            approx, importance_scores_loop(weights), atol=1e-12
         )
 
     def test_single_recent_row_reads_last_attention_row(self):
@@ -93,7 +125,7 @@ class TestApproxImportanceScores:
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 64, 8)
         _, weights = causal_attention(batch)
-        exact = importance_scores_exact(weights)
+        exact = importance_scores_loop(weights)
         approx = approx_importance_scores(batch, SampleSpec(8, 8), RngStream(8))
         top_exact = set(np.argsort(-exact)[:8])
         top_approx = set(np.argsort(-approx)[:8])
@@ -111,6 +143,36 @@ class TestApproxImportanceScores:
         batch = random_batch(rng, 8, 2)
         with pytest.raises(InvalidInputError):
             approx_importance_scores(batch, SampleSpec(2, 2), None)
+
+    def test_rows_across_score_blocks_match_oracles(self):
+        """L=300 scores in three blocks of up to 128 rows, 200 sampled rows in two."""
+        rng = np.random.default_rng(26)
+        L = 300
+        batch = random_batch(rng, L, 8)
+        _, weights = naive_causal_attention(batch)
+        np.testing.assert_allclose(
+            importance_scores_exact(batch), importance_scores_loop(weights), rtol=0, atol=1e-13
+        )
+        spec = SampleSpec(100, 100)
+        positions = spec.positions(L, RngStream(27))
+        np.testing.assert_allclose(
+            approx_importance_scores(batch, spec, RngStream(27)),
+            sampled_scores_oracle(weights, positions),
+            rtol=0,
+            atol=1e-13,
+        )
+
+    @given(scoring_cases())
+    def test_any_spec_and_extreme_logits_match_oracle(self, case):
+        batch, spec, seed = case
+        _, weights = naive_causal_attention(batch)
+        positions = spec.positions(batch.length, RngStream(seed))
+        np.testing.assert_allclose(
+            approx_importance_scores(batch, spec, RngStream(seed)),
+            sampled_scores_oracle(weights, positions),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestPartitionTokens:

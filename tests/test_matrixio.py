@@ -57,6 +57,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             text_to_matrix("MAT 1\n3 1\n1\n2\n")
 
+    def test_extra_rows(self):
+        with pytest.raises(InvalidInputError):
+            text_to_matrix("MAT 1\n1 2\n1 2\n3 4\n")
+        with pytest.raises(InvalidInputError):
+            text_to_matrix("MAT 1\n1 2\n1 2\n\n3 4\n\n")
+        np.testing.assert_array_equal(text_to_matrix("MAT 1\n1 2\n1 2\n\n \n"), [[1.0, 2.0]])
+
     def test_non_finite_rejected_on_write(self):
         with pytest.raises(InvalidInputError):
             matrix_to_text(np.array([[np.inf]]))
