@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionBatch
-from .dga import build_grouped_kv, compute_partition, dga_attention_with_partition
+from .dga import _attend, build_grouped_kv, compute_partition
 from .errors import InvalidInputError
 from .numerics import softmax
 
@@ -84,8 +84,8 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     tail starts empty.
     """
     partition = compute_partition(batch, m, gamma)
-    outputs = dga_attention_with_partition(batch, partition)
     kv = build_grouped_kv(batch, partition)
+    outputs = _attend(batch, kv)
     L, d = batch.q.shape
     r, k = partition.r, partition.k
     comp_width = m if k > 0 else 0

@@ -12,9 +12,9 @@ One predicate, `_visible`, decides which of these r + k + m columns a
 query sees. The complement columns expose the raw members of the one
 block that straddles the query, so queries inside a partially visible
 block neither leak future tokens nor lose past ones. Attention applies
-the predicate one block of query rows at a time; `build_group_mask`
-renders it as the dense L x (r + k + m) mask that `dga-check` and the
-oracle tests compare.
+it to tiles of query rows, within the focal and aggregate prefixes the
+tile can see; `build_group_mask` renders it over all columns as the
+dense L x (r + k + m) mask that `dga-check` and the oracle tests compare.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def approx_importance_scores(
 
     Each sampled row p contributes its causal softmax over positions
     <= p; column i is averaged over the sampled rows that can see it.
-    Columns no sampled row can see score 0.
+    Columns no sampled row can see score 0. A tile of rows masks only its
+    diagonal band and adds (1 / row sums) @ exp(logits) to the column sums.
     """
     L = batch.length
     positions = spec.positions(L, rng)
@@ -110,10 +111,13 @@ def approx_importance_scores(
     for start in range(0, positions.size, _ROW_BLOCK):
         rows = positions[start : start + _ROW_BLOCK]
         end = rows[-1] + 1
-        logits = batch.q[rows] @ batch.k[:end].T
-        logits *= scale
-        logits[np.arange(end) > rows[:, None]] = -np.inf
-        col_sum[:end] += softmax_rows(logits).sum(axis=0)
+        e = batch.q[rows] @ batch.k[:end].T
+        e *= scale
+        # Every row sees columns <= rows[0]; only the band after it is masked.
+        e[:, rows[0] + 1 :][np.arange(rows[0] + 1, end) > rows[:, None]] = -np.inf
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        col_sum[:end] += (1.0 / e.sum(axis=1)) @ e
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
     scores = np.zeros(L)
@@ -191,8 +195,8 @@ def _straddled_members(partition: TokenPartition, rows: np.ndarray) -> np.ndarra
     return padded[partition.neighbor[rows]]
 
 
-def _visible(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
-    """Which of the r + k + m grouped columns each query row sees.
+def _visible(partition: TokenPartition, rows: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Which of the focal[:a], aggregate[:b] and m complement columns each row sees.
 
     A focal token once it is past, a block's aggregate once the whole
     block is past, and the members up to the query of the block that
@@ -203,8 +207,8 @@ def _visible(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
     members = _straddled_members(partition, rows)
     return np.concatenate(
         [
-            partition.focal <= i,
-            partition.groups[:, -1] <= i,
+            partition.focal[:a] <= i,
+            partition.groups[:b, -1] <= i,
             (members >= 0) & (members <= i),
         ],
         axis=1,
@@ -213,7 +217,34 @@ def _visible(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
     """L x (r + k + m) 0/1 rendering of the visibility predicate."""
-    return _visible(partition, np.arange(partition.L)).astype(np.float64)
+    rows = np.arange(partition.L)
+    return _visible(partition, rows, partition.r, partition.k).astype(np.float64)
+
+
+def _attend(batch: AttentionBatch, kv: GroupedKV) -> np.ndarray:
+    """dga_attention_with_partition over an already built layout."""
+    partition, (keys, values) = kv.partition, kv.rows
+    r, scale = partition.r, 1.0 / np.sqrt(batch.width)
+    out = np.empty_like(batch.q)
+    for start in range(0, partition.L, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, partition.L))
+        # Focal tokens and block ends are sorted, so a tile sees prefixes of each.
+        a = np.searchsorted(partition.focal, rows[-1], "right")
+        b = np.searchsorted(partition.groups[:, -1], rows[-1], "right")
+        q = batch.q[rows] * scale
+        # Rows with no straddling block gather token -1; _visible hides it.
+        members = _straddled_members(partition, rows)
+        e = np.concatenate(
+            [q @ keys[:a].T, q @ keys[r : r + b].T, np.einsum("bd,bmd->bm", q, batch.k[members])],
+            axis=1,
+        )
+        e[~_visible(partition, rows, a, b)] = -np.inf
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
+        o += np.einsum("bm,bmd->bd", e[:, a + b :], batch.v[members])
+        out[rows] = o / e.sum(axis=1, keepdims=True)
+    return out
 
 
 def dga_attention_with_partition(
@@ -221,30 +252,12 @@ def dga_attention_with_partition(
 ) -> np.ndarray:
     """Grouped attention output for a fixed, precomputed partition.
 
-    Query rows go through in blocks of _ROW_BLOCK. Each block takes one
-    matmul against the focal and aggregated keys, one gathered logit per
-    complement member, and one softmax over all r + k + m columns with
-    hidden columns at -inf, so they get exactly zero weight.
+    Query rows go through in tiles of _ROW_BLOCK. A tile computes logits
+    only for the focal and aggregate prefixes its last row can see and
+    for the m complement members; _visible hides the rest at -inf. The
+    output, not the weights, is divided by the row sums.
     """
-    keys, values = build_grouped_kv(batch, partition).rows
-    n = keys.shape[0]
-    scale = 1.0 / np.sqrt(batch.width)
-    out = np.empty_like(batch.q)
-    for start in range(0, partition.L, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, partition.L))
-        q = batch.q[rows]
-        # Rows with no straddling block gather token -1; _visible hides it.
-        members = _straddled_members(partition, rows)
-        logits = np.concatenate(
-            [q @ keys.T, np.einsum("bd,bmd->bm", q, batch.k[members])], axis=1
-        )
-        logits *= scale
-        logits[~_visible(partition, rows)] = -np.inf
-        w = softmax_rows(logits)
-        out[rows] = w[:, :n] @ values + np.einsum(
-            "bm,bmd->bd", w[:, n:], batch.v[members]
-        )
-    return out
+    return _attend(batch, build_grouped_kv(batch, partition))
 
 
 def compute_partition(

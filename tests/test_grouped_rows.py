@@ -2,10 +2,10 @@
 against brute force on small edge inputs."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgalab.attention import AttentionBatch
+from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
     build_group_mask,
     compute_partition,
@@ -40,28 +40,73 @@ def test_rows_across_block_boundaries_match_oracle_and_stay_causal():
             np.testing.assert_array_equal(pert[:j], base[:j])
 
 
+def scaled_batch(seed, L, d, reach):
+    """Gaussian Q/K/V with Q scaled so the largest |q.k| / sqrt(d) is reach."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
+    q *= reach / np.abs(q @ k.T / np.sqrt(d)).max()
+    return AttentionBatch(q, k, v)
+
+
 @st.composite
-def small_cases(draw):
-    L = draw(st.integers(1, 40))
-    m = draw(st.integers(1, 6))
-    gamma = draw(st.sampled_from([1.0 / L, 0.1, 0.5, 1.0]))
+def grouped_cases(draw, lengths, blocks, gammas=(0.1, 0.5, 1.0)):
+    L = draw(lengths)
+    m = draw(blocks)
+    gamma = draw(st.sampled_from([1.0 / L, *gammas]))
     # Few distinct integer scores, so ties decide most of the partition.
     scores = np.array(draw(st.lists(st.integers(0, 3), min_size=L, max_size=L)), float)
     d = draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return partition_tokens(scores, gamma, m), random_batch(np.random.default_rng(seed), L, d)
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    batch = scaled_batch(draw(st.integers(0, 2**32 - 1)), L, d, reach)
+    return partition_tokens(scores, gamma, m), batch
 
 
-@given(small_cases())
-def test_partition_layout_matches_brute_force(case):
-    part, batch = case
+def check_against_oracles(part, batch):
     np.testing.assert_array_equal(build_group_mask(part), mask_by_reachability(part))
     np.testing.assert_allclose(
         dga_attention_with_partition(batch, part), naive_dga_attention(batch, part), atol=1e-12
     )
+
+
+@given(grouped_cases(st.integers(1, 40), st.integers(1, 6)))
+def test_partition_layout_matches_brute_force(case):
+    part, batch = case
+    check_against_oracles(part, batch)
     want = np.full(part.L, -1)
     for g, members in enumerate(part.groups):
         for i in range(part.L):
             if members[0] <= i < members[-1]:
                 want[i] = g
     np.testing.assert_array_equal(part.neighbor, want)
+
+
+# Lengths across one or two 128-row tile boundaries.
+TILE_LENGTHS = st.one_of(st.sampled_from([127, 128, 129, 256, 257]), st.integers(120, 300))
+
+
+# The naive oracle takes about 0.8 s at L=260, so few examples, and only
+# partitions with real blocks: m = 1 and gamma = 1 across tiles are checked
+# against exact attention below.
+@settings(max_examples=10)
+@given(grouped_cases(TILE_LENGTHS, st.integers(2, 17), gammas=(0.1, 0.5)))
+def test_multi_tile_layout_matches_oracles(case):
+    check_against_oracles(*case)
+
+
+@given(
+    st.one_of(TILE_LENGTHS, st.integers(1, 40)),
+    st.sampled_from(["all focal", "unit blocks"]),
+    st.integers(1, 17),
+    st.sampled_from([0.01, 0.1, 0.5]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_all_focal_or_unit_blocks_equal_causal_attention(L, kind, m, gamma, d, seed):
+    """gamma = 1 leaves only focal columns; m = 1 leaves only aggregates of
+    one token each (and focal columns), so both are exact attention."""
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, L, d)
+    scores = rng.integers(0, 4, L).astype(float)
+    part = partition_tokens(scores, 1.0, m) if kind == "all focal" else partition_tokens(scores, gamma, 1)
+    want, _ = causal_attention(batch)
+    np.testing.assert_allclose(dga_attention_with_partition(batch, part), want, atol=1e-12)
