@@ -6,7 +6,7 @@ metrics for attention weights, simplex-constrained coding solvers, and an
 incremental decoding simulator with exact cost ledgers.
 """
 
-from .attention import AttentionBatch, causal_attention, last_token_weights
+from .attention import AttentionBatch, causal_attention
 from .coding import (
     CodingInstance,
     GroupStructure,

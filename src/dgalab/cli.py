@@ -6,8 +6,8 @@ deterministic CSV files into --out:
   sparsity      empirical vs bound sparsity probabilities -> sparsity.csv
   coding        condition-number sweep and solver traces  -> condnum.csv, trace.csv
   noise         variance and KL noise experiments         -> noise.csv, noise_alt.csv, klnoise.csv
-  dga-check     oracle equivalence battery (exit 1 on failure, failing
-                case dumped as .mat files)
+  dga-check     oracle equivalence battery: grouped attention, mask, exact
+                attention (exit 1 on failure, failing case dumped as .mat files)
   decode-bench  decode session trace and cost ledgers     -> decode_trace.csv, ledger_summary.csv
 
 Flags override an optional key=value --config file; identical seed and
@@ -37,7 +37,7 @@ from .csvio import write_csv
 from .decode import decode_step, ledger, prefill, vanilla_ledger
 from .dga import build_group_mask, compute_partition, dga_attention_with_partition
 from .matrixio import dump_case
-from .oracles import mask_by_reachability, naive_dga_attention
+from .oracles import mask_by_reachability, naive_causal_attention, naive_dga_attention
 from .rng import RngStream
 from .sparsity import named_source, sparsity_profile
 
@@ -147,15 +147,6 @@ def _prepare(args) -> argparse.Namespace:
     return argparse.Namespace(rng=RngStream(values["seed"]), **values)
 
 
-def _random_batch(rng: RngStream, L: int, d: int) -> AttentionBatch:
-    gen = rng.generator()
-    return AttentionBatch(
-        gen.standard_normal((L, d)),
-        gen.standard_normal((L, d)),
-        gen.standard_normal((L, d)),
-    )
-
-
 def run_sparsity(p) -> int:
     source = named_source(p.sampler, d=p.d)
     report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
@@ -240,7 +231,7 @@ def run_dga_check(p) -> int:
         gen = case_rng.generator()
         L = int(gen.integers(2, p.L + 1))
         d = int(gen.integers(1, p.d + 1))
-        batch = _random_batch(case_rng.child(0), L, d)
+        batch = AttentionBatch(*case_rng.child(0).generator().standard_normal((3, L, d)))
         failures = []
 
         partition = compute_partition(batch, m, gamma)
@@ -253,12 +244,15 @@ def run_dga_check(p) -> int:
         if np.abs(mask_got - mask_want).max() > 0:
             failures.append(("mask", mask_got, mask_want))
 
-        ref, _ = causal_attention(batch)
+        exact = causal_attention(batch)
+        for got_exact, want_exact in zip(exact, naive_causal_attention(batch)):
+            if np.abs(got_exact - want_exact).max() > 1e-12:
+                failures.append(("causal", got_exact, want_exact))
         degenerate = dga_attention_with_partition(
             batch, compute_partition(batch, m, 1.0)
         )
-        if np.abs(degenerate - ref).max() > 1e-10:
-            failures.append(("degenerate", degenerate, ref))
+        if np.abs(degenerate - exact[0]).max() > 1e-10:
+            failures.append(("degenerate", degenerate, exact[0]))
 
         if failures:
             kind = failures[0][0]
@@ -279,7 +273,7 @@ def run_dga_check(p) -> int:
 
 def run_decode_bench(p) -> int:
     d = p.d
-    batch = _random_batch(p.rng.child(0), p.L, d)
+    batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, d)))
     _, state = prefill(batch, p.m, p.gamma)
     gen = p.rng.child(1).generator()
     for _ in range(p.steps):

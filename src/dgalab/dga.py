@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBatch
+from .attention import _ROW_BLOCK, AttentionBatch, _causal_tile
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import softmax_rows
 from .rng import RngStream
-
-_ROW_BLOCK = 128  # query rows per score/attend step: memory O(B L) / O(B (r + k + m))
 
 
 @dataclass(frozen=True)
@@ -101,23 +99,15 @@ def approx_importance_scores(
 
     Each sampled row p contributes its causal softmax over positions
     <= p; column i is averaged over the sampled rows that can see it.
-    Columns no sampled row can see score 0. A tile of rows masks only its
-    diagonal band and adds (1 / row sums) @ exp(logits) to the column sums.
+    Columns no sampled row can see score 0. Each causal tile of sorted
+    rows adds (1 / row sums) @ exp(logits) to the column sums.
     """
     L = batch.length
     positions = spec.positions(L, rng)
-    scale = 1.0 / np.sqrt(batch.width)
     col_sum = np.zeros(L)
     for start in range(0, positions.size, _ROW_BLOCK):
-        rows = positions[start : start + _ROW_BLOCK]
-        end = rows[-1] + 1
-        e = batch.q[rows] @ batch.k[:end].T
-        e *= scale
-        # Every row sees columns <= rows[0]; only the band after it is masked.
-        e[:, rows[0] + 1 :][np.arange(rows[0] + 1, end) > rows[:, None]] = -np.inf
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        col_sum[:end] += (1.0 / e.sum(axis=1)) @ e
+        e, sums = _causal_tile(batch, positions[start : start + _ROW_BLOCK])
+        col_sum[: e.shape[1]] += (1.0 / sums) @ e
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
     scores = np.zeros(L)
@@ -189,22 +179,22 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> Groupe
     return GroupedKV(rows, p_rows, partition)
 
 
-def _straddled_members(partition: TokenPartition, rows: np.ndarray) -> np.ndarray:
-    """(len(rows), m) members of each row's straddling block, -1 where none."""
-    padded = np.vstack([partition.groups, np.full((1, partition.m), -1)])
-    return padded[partition.neighbor[rows]]
+def _padded_groups(partition: TokenPartition) -> np.ndarray:
+    """groups plus a row of -1s: padded[neighbor] is each token's straddling block."""
+    return np.vstack([partition.groups, np.full((1, partition.m), -1)])
 
 
-def _visible(partition: TokenPartition, rows: np.ndarray, a: int, b: int) -> np.ndarray:
+def _visible(
+    partition: TokenPartition, rows: np.ndarray, a: int, b: int, members: np.ndarray
+) -> np.ndarray:
     """Which of the focal[:a], aggregate[:b] and m complement columns each row sees.
 
     A focal token once it is past, a block's aggregate once the whole
     block is past, and the members up to the query of the block that
-    straddles it. Every past token is reachable through exactly one
-    column, and no future token through any.
+    straddles it (members, from `_padded_groups`). Every past token is
+    reachable through exactly one column, and no future token through any.
     """
     i = rows[:, None]
-    members = _straddled_members(partition, rows)
     return np.concatenate(
         [
             partition.focal[:a] <= i,
@@ -217,8 +207,9 @@ def _visible(partition: TokenPartition, rows: np.ndarray, a: int, b: int) -> np.
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
     """L x (r + k + m) 0/1 rendering of the visibility predicate."""
+    members = _padded_groups(partition)[partition.neighbor]
     rows = np.arange(partition.L)
-    return _visible(partition, rows, partition.r, partition.k).astype(np.float64)
+    return _visible(partition, rows, partition.r, partition.k, members).astype(np.float64)
 
 
 def _attend(batch: AttentionBatch, kv: GroupedKV) -> np.ndarray:
@@ -226,6 +217,7 @@ def _attend(batch: AttentionBatch, kv: GroupedKV) -> np.ndarray:
     partition, (keys, values) = kv.partition, kv.rows
     r, scale = partition.r, 1.0 / np.sqrt(batch.width)
     out = np.empty_like(batch.q)
+    padded = _padded_groups(partition)
     for start in range(0, partition.L, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, partition.L))
         # Focal tokens and block ends are sorted, so a tile sees prefixes of each.
@@ -233,12 +225,12 @@ def _attend(batch: AttentionBatch, kv: GroupedKV) -> np.ndarray:
         b = np.searchsorted(partition.groups[:, -1], rows[-1], "right")
         q = batch.q[rows] * scale
         # Rows with no straddling block gather token -1; _visible hides it.
-        members = _straddled_members(partition, rows)
+        members = padded[partition.neighbor[rows]]
         e = np.concatenate(
             [q @ keys[:a].T, q @ keys[r : r + b].T, np.einsum("bd,bmd->bm", q, batch.k[members])],
             axis=1,
         )
-        e[~_visible(partition, rows, a, b)] = -np.inf
+        e[~_visible(partition, rows, a, b, members)] = -np.inf
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgalab.attention import AttentionBatch, causal_attention, last_token_weights
+from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.errors import EmptySequenceError, InvalidInputError
 from dgalab.oracles import naive_causal_attention
 
@@ -47,17 +49,28 @@ class TestCausalAttention:
             assert np.all(weights[np.triu_indices(L, k=1)] == 0.0)
 
     def test_future_rows_have_exactly_zero_influence(self):
-        """Perturbing K or V at position j changes no output row before j."""
+        """Perturbing K or V at position j changes no output or weight row
+        before j, whether j shares a 128-row tile with those rows or not."""
         rng = np.random.default_rng(4)
-        for L in (2, 9, 32):
+        for L in (2, 9, 32, 257):
             batch = random_batch(rng, L, 4)
-            base, _ = causal_attention(batch)
-            for j in range(1, L):
+            base, base_weights = causal_attention(batch)
+            # At L=257: j inside tile 0, at both tile edges, and inside tiles 1 and 2.
+            for j in range(1, L) if L <= 32 else (1, 64, 127, 128, 129, 200, 255, 256):
                 for field in ("k", "v"):
                     arrays = {"q": batch.q.copy(), "k": batch.k.copy(), "v": batch.v.copy()}
                     arrays[field][j] += 100.0
-                    pert, _ = causal_attention(AttentionBatch(**arrays))
+                    pert, pert_weights = causal_attention(AttentionBatch(**arrays))
                     np.testing.assert_array_equal(pert[:j], base[:j])
+                    np.testing.assert_array_equal(pert_weights[:j], base_weights[:j])
+
+    def test_logits_past_exp_overflow_stay_finite(self):
+        """Logits up to 2000 overflow exp unless each row is max-shifted."""
+        batch = scaled_batch(6, 200, 3, 2000.0)
+        out, weights = causal_attention(batch)
+        want_out, want_weights = naive_causal_attention(batch)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
 
     def test_query_key_scale_cancellation(self):
         rng = np.random.default_rng(5)
@@ -76,31 +89,31 @@ class TestCausalAttention:
             AttentionBatch(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3)))
 
 
-class TestLastTokenWeights:
-    def test_orthogonal_query_gives_uniform(self):
-        rng = np.random.default_rng(6)
-        L, d = 5, 4
-        k = rng.normal(size=(L, d))
-        q = np.zeros((L, d))
-        batch = AttentionBatch(q, k, rng.normal(size=(L, d)))
-        np.testing.assert_allclose(last_token_weights(batch), np.full(L, 1 / L), atol=1e-14)
+# Lengths across one or two 128-row tile boundaries.
+TILE_LENGTHS = st.one_of(st.sampled_from([127, 128, 129, 256, 257]), st.integers(120, 300))
 
-    def test_two_token_closed_form(self):
-        """Logits [0, ln 3] at unit temperature give [1/4, 3/4]."""
-        d = 1
-        q = np.array([[0.0], [1.0]])
-        k = np.array([[0.0], [np.log(3.0)]])
-        batch = AttentionBatch(q, k, np.ones((2, 1)))
-        np.testing.assert_allclose(last_token_weights(batch), [0.25, 0.75], atol=1e-14)
 
-    def test_equals_final_causal_row(self):
-        rng = np.random.default_rng(7)
-        batch = random_batch(rng, 10, 3)
-        _, weights = causal_attention(batch)
-        np.testing.assert_allclose(last_token_weights(batch), weights[-1], atol=1e-14)
+def scaled_batch(seed, L, d, reach):
+    """Gaussian Q/K/V with Q scaled so the largest |q.k| / sqrt(d) is reach."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
+    q *= reach / np.abs(q @ k.T / np.sqrt(d)).max()
+    return AttentionBatch(q, k, v)
 
-    def test_weighted_values_equal_final_output(self):
-        rng = np.random.default_rng(8)
-        batch = random_batch(rng, 7, 5)
-        out, _ = causal_attention(batch)
-        np.testing.assert_allclose(last_token_weights(batch) @ batch.v, out[-1], atol=1e-13)
+
+# The double-loop oracle takes a few tenths of a second at L=300.
+@settings(max_examples=25)
+@given(
+    st.one_of(TILE_LENGTHS, st.integers(1, 40)),
+    st.integers(1, 6),
+    st.sampled_from([1.0, 30.0, 700.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_causal_tiles_match_oracle_with_extreme_logits(L, d, reach, seed):
+    batch = scaled_batch(seed, L, d, reach)
+    out, weights = causal_attention(batch)
+    want_out, want_weights = naive_causal_attention(batch)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
+    assert np.all(weights[np.triu_indices(L, k=1)] == 0.0)
+    np.testing.assert_allclose(weights.sum(axis=1), np.ones(L), rtol=0, atol=1e-12)

@@ -150,6 +150,22 @@ class TestSubcommands:
             assert (tmp_path / f"{name}.mat").exists()
         assert "FAIL" in capsys.readouterr().err
 
+    def test_dga_check_catches_a_wrong_exact_attention(self, tmp_path, monkeypatch, capsys):
+        """A causal_attention whose weights leak past the diagonal fails as `causal`."""
+        import dgalab.cli as cli_mod
+        from dgalab.attention import causal_attention
+
+        def leaky(batch):
+            out, weights = causal_attention(batch)
+            return out, weights + 1e-9
+
+        monkeypatch.setattr(cli_mod, "causal_attention", leaky)
+        code = run(["dga-check", "--seed", "7", "--cases", "1", "--out", str(tmp_path)])
+        assert code == 1
+        for name in ("Q", "K", "V", "got", "want"):
+            assert (tmp_path / f"{name}.mat").exists()
+        assert "FAIL case 0 (causal," in capsys.readouterr().err
+
     def test_decode_bench_trace_schema(self, tmp_path):
         assert run(["decode-bench", "--seed", "4", "--L", "32", "--d", "4", "--m", "4",
                     "--gamma", "0.1", "--steps", "12", "--out", str(tmp_path)]) == 0
