@@ -67,66 +67,13 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-# Flags every subcommand takes besides --config.
-_COMMON = {
-    "seed": (int, 0, "base RNG seed"),
-    "out": (str, ".", "output directory"),
-}
-
-# subcommand -> (help, {flag: (parse, default, help)}); the parser and the
-# flag > config > default resolution both read this one table.
-_COMMANDS = {
-    "sparsity": ("sparsity probabilities and bounds", {
-        **_COMMON,
-        "L": (_parse_int_list, [64, 128, 256], "context lengths, comma-separated"),
-        "rho": (_parse_float_list, [0.01, 0.02, 0.05], "sparse rates, comma-separated"),
-        "trials": (int, 10_000, "Monte Carlo sample count"),
-        "sampler": (str, "gaussian",
-                    "logit distribution family: gaussian, student_t, mixture or attention"),
-        "d": (int, 16, "embedding width for the attention sampler"),
-    }),
-    "coding": ("condition numbers and solver traces", {
-        **_COMMON,
-        "L": (int, 16, "token count per instance"),
-        "d": (int, 32, "embedding width"),
-        "m": (_parse_int_list, [2, 4, 8], "group sizes, comma-separated"),
-        "instances": (int, 200, "random instances per group size"),
-        "iters": (int, 2000, "solver iterations for the trace"),
-    }),
-    "noise": ("variance damping and KL drift under noise", {
-        **_COMMON,
-        "L": (int, 32, "logit vector length"),
-        "m": (_parse_int_list, [1, 2, 4, 8], "group sizes, comma-separated"),
-        "sigma": (_parse_float_list, [1e-4, 1e-3, 1e-2], "noise levels, comma-separated"),
-        "trials": (int, 20_000, "Monte Carlo trials"),
-        "d": (int, 8, "embedding width for the KL instance"),
-    }),
-    "dga-check": ("oracle equivalence battery", {
-        **_COMMON,
-        "L": (int, 24, "maximum sequence length"),
-        "d": (int, 8, "maximum embedding width"),
-        "m": (int, 4, "group size"),
-        "gamma": (float, 0.25, "importance rate"),
-        "cases": (int, 25, "number of random cases"),
-    }),
-    "decode-bench": ("decode trace and cost ledgers", {
-        **_COMMON,
-        "L": (int, 64, "prompt length"),
-        "d": (int, 8, "embedding width"),
-        "m": (int, 4, "group size"),
-        "gamma": (float, 0.1, "importance rate"),
-        "steps": (int, 64, "decode steps"),
-    }),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgalab",
         description="Grouped-attention numerical experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, (help_text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         for flag, (parse, _, flag_help) in flags.items():
@@ -136,10 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args) -> argparse.Namespace:
     """Resolve every flag of the subcommand: command-line value if given,
-    else config value, else default. Adds the seeded stream as `rng`."""
+    else config value, else default. Adds the seeded stream as `rng`.
+    A config key that names no flag of the subcommand is an error."""
     cfg = load_config(args.config) if args.config is not None else {}
+    flags = _COMMANDS[args.command][2]
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}"
+        )
     values = {}
-    for key, (parse, default, _) in _COMMANDS[args.command][1].items():
+    for key, (parse, default, _) in flags.items():
         given = getattr(args, key)
         if given is None:
             given = parse(cfg[key]) if key in cfg else default
@@ -222,9 +176,8 @@ def run_noise(p) -> int:
 
 def run_dga_check(p) -> int:
     m, gamma = p.m, p.gamma
-    if p.L < 2 or p.d < 1:
-        print("error: need L >= 2 and d >= 1", file=sys.stderr)
-        return USAGE_ERROR
+    if p.L < 2 or p.d < 1 or p.cases < 1:
+        raise ValueError("need L >= 2, d >= 1 and cases >= 1")
 
     for case in range(p.cases):
         case_rng = p.rng.child(case)
@@ -272,6 +225,8 @@ def run_dga_check(p) -> int:
 
 
 def run_decode_bench(p) -> int:
+    if p.steps < 0:
+        raise ValueError("steps must be nonnegative")
     d = p.d
     batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, d)))
     _, state = prefill(batch, p.m, p.gamma)
@@ -302,12 +257,56 @@ def run_decode_bench(p) -> int:
     return 0
 
 
-_RUNNERS = {
-    "sparsity": run_sparsity,
-    "coding": run_coding,
-    "noise": run_noise,
-    "dga-check": run_dga_check,
-    "decode-bench": run_decode_bench,
+# Flags every subcommand takes besides --config.
+_COMMON = {
+    "seed": (int, 0, "base RNG seed"),
+    "out": (str, ".", "output directory"),
+}
+
+# subcommand -> (help, runner, {flag: (parse, default, help)}); the parser,
+# the flag > config > default resolution and main all read this one table.
+_COMMANDS = {
+    "sparsity": ("sparsity probabilities and bounds", run_sparsity, {
+        **_COMMON,
+        "L": (_parse_int_list, [64, 128, 256], "context lengths, comma-separated"),
+        "rho": (_parse_float_list, [0.01, 0.02, 0.05], "sparse rates, comma-separated"),
+        "trials": (int, 10_000, "Monte Carlo sample count"),
+        "sampler": (str, "gaussian",
+                    "logit distribution family: gaussian, student_t, mixture or attention"),
+        "d": (int, 16, "embedding width for the attention sampler"),
+    }),
+    "coding": ("condition numbers and solver traces", run_coding, {
+        **_COMMON,
+        "L": (int, 16, "token count per instance"),
+        "d": (int, 32, "embedding width"),
+        "m": (_parse_int_list, [2, 4, 8], "group sizes, comma-separated"),
+        "instances": (int, 200, "random instances per group size"),
+        "iters": (int, 2000, "solver iterations for the trace"),
+    }),
+    "noise": ("variance damping and KL drift under noise", run_noise, {
+        **_COMMON,
+        "L": (int, 32, "logit vector length"),
+        "m": (_parse_int_list, [1, 2, 4, 8], "group sizes, comma-separated"),
+        "sigma": (_parse_float_list, [1e-4, 1e-3, 1e-2], "noise levels, comma-separated"),
+        "trials": (int, 20_000, "Monte Carlo trials"),
+        "d": (int, 8, "embedding width for the KL instance"),
+    }),
+    "dga-check": ("oracle equivalence battery", run_dga_check, {
+        **_COMMON,
+        "L": (int, 24, "maximum sequence length"),
+        "d": (int, 8, "maximum embedding width"),
+        "m": (int, 4, "group size"),
+        "gamma": (float, 0.25, "importance rate"),
+        "cases": (int, 25, "number of random cases"),
+    }),
+    "decode-bench": ("decode trace and cost ledgers", run_decode_bench, {
+        **_COMMON,
+        "L": (int, 64, "prompt length"),
+        "d": (int, 8, "embedding width"),
+        "m": (int, 4, "group size"),
+        "gamma": (float, 0.1, "importance rate"),
+        "steps": (int, 64, "decode steps"),
+    }),
 }
 
 
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](_prepare(args))
+        return _COMMANDS[args.command][1](_prepare(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

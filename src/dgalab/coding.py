@@ -229,6 +229,25 @@ def perturbation_variance(
     return empirical, predicted
 
 
+def _plain_noise(alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream):
+    """Shared start of the two variance ratios: check m and sigma, draw one
+    N(0, sigma^2) per logit, and return the blocks of m, the generator after
+    that draw, the noisy softmax rows and the clean softmax."""
+    alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
+    groups = GroupStructure(alpha_tilde.size, m)
+    if sigma <= 0:
+        raise InvalidInputError("sigma must be positive")
+    gen = rng.generator()
+    plain = sigma * gen.standard_normal((trials, alpha_tilde.size))
+    return groups, gen, softmax_rows(alpha_tilde + plain), softmax(alpha_tilde)
+
+
+def _variance_ratio(changed: np.ndarray, baseline: np.ndarray) -> float:
+    """Mean per-column variance of `changed` over that of `baseline`."""
+    var_changed = np.var(changed, axis=0, ddof=1)
+    return float(var_changed.mean() / np.var(baseline, axis=0, ddof=1).mean())
+
+
 def grouped_variance_ratio(
     alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream
 ) -> float:
@@ -242,19 +261,10 @@ def grouped_variance_ratio(
     this concentrate near 1/m^2.
     """
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
-    L = alpha_tilde.size
-    groups = GroupStructure(L, m)
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    gen = rng.generator()
-    plain = sigma * gen.standard_normal((trials, L))
+    groups, gen, noisy, clean = _plain_noise(alpha_tilde, m, sigma, trials, rng)
     group_draws = sigma * gen.standard_normal((trials, groups.k))
     spread = np.repeat(group_draws, m, axis=1) / m
-
-    clean = softmax(alpha_tilde)
-    var_plain = np.var(softmax_rows(alpha_tilde + plain) - clean, axis=0, ddof=1)
-    var_group = np.var(softmax_rows(alpha_tilde + spread) - clean, axis=0, ddof=1)
-    return float(var_group.mean() / var_plain.mean())
+    return _variance_ratio(softmax_rows(alpha_tilde + spread) - clean, noisy - clean)
 
 
 def ambient_variance_ratio(
@@ -266,23 +276,13 @@ def ambient_variance_ratio(
     Reported alongside the grouped ratio; no damping guarantee is claimed
     for this model.
     """
-    alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
-    L = alpha_tilde.size
-    groups = GroupStructure(L, m)
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    gen = rng.generator()
-    plain = sigma * gen.standard_normal((trials, L))
-    noisy_members = softmax_rows(alpha_tilde + plain)
+    groups, _, noisy, clean = _plain_noise(alpha_tilde, m, sigma, trials, rng)
 
     def regroup(rows):
         shared = rows.reshape(rows.shape[0], groups.k, m).mean(axis=2)
         return np.repeat(shared, m, axis=1)
 
-    clean = softmax(alpha_tilde)
-    var_plain = np.var(noisy_members - clean, axis=0, ddof=1)
-    var_regrouped = np.var(regroup(noisy_members) - regroup(clean[None, :]), axis=0, ddof=1)
-    return float(var_regrouped.mean() / var_plain.mean())
+    return _variance_ratio(regroup(noisy) - regroup(clean[None, :]), noisy - clean)
 
 
 def kl_under_noise(

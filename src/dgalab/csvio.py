@@ -20,15 +20,10 @@ def format_value(v) -> str:
     return str(v)
 
 
-def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def write_csv(path, header, rows) -> None:
     """Write the CSV, creating its directory first."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(v) for v in row) + "\n")

@@ -75,7 +75,6 @@ class TokenPartition:
     focal: np.ndarray
     groups: np.ndarray
     neighbor: np.ndarray
-    scores: np.ndarray
 
     @property
     def r(self) -> int:
@@ -144,7 +143,7 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     g = np.searchsorted(groups[:, -1], tokens, side="right")
     first = np.append(groups[:, 0], L)
     neighbor = np.where(first[g] <= tokens, g, -1)
-    return TokenPartition(L, m, float(gamma), focal, groups, neighbor, scores)
+    return TokenPartition(L, m, float(gamma), focal, groups, neighbor)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class IndivisibleError(InvalidInputError):
     """Group size does not divide the number of tokens to be grouped."""
 
 
-class SupportMismatchError(ValueError):
-    """KL divergence undefined: q vanishes where p does not."""
-
-
 class DegenerateSpectrumError(ValueError):
     """No eigenvalue survives the positive-spectrum cutoff."""
 

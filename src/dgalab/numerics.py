@@ -1,6 +1,5 @@
 """Dense numerical kernels: stable softmax, simplex projection, symmetric
-eigenvalues, positive-spectrum condition numbers, Gaussian sampling and KL
-divergence.
+eigenvalues and positive-spectrum condition numbers.
 
 Matrices are plain float64 numpy arrays in row-major order; probability
 vectors are 1-D float64 arrays that sum to one.
@@ -10,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InvalidInputError,
-    SupportMismatchError,
-)
-from .rng import RngStream
+from .errors import DegenerateSpectrumError, InvalidInputError
 
 PROB_ATOL = 1e-12
 
@@ -103,22 +97,3 @@ def condition_number(eigs, cutoff: float = 1e-10) -> float:
         raise DegenerateSpectrumError("no eigenvalue above the cutoff")
     return float(kept[0] / kept[-1])
 
-
-def gaussian_sample(n: int, sigma: float, rng: RngStream) -> np.ndarray:
-    """n i.i.d. N(0, sigma^2) draws; deterministic in the stream value."""
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
-    return rng.normal(n, scale=sigma)
-
-
-def kl_divergence(p, q) -> float:
-    """sum p_j log(p_j / q_j) with the 0 log 0 = 0 convention."""
-    p = check_prob_vector(p, "p")
-    q = check_prob_vector(q, "q")
-    if p.size != q.size:
-        raise InvalidInputError("p and q must have equal length")
-    bad = (q == 0.0) & (p > 0.0)
-    if np.any(bad):
-        raise SupportMismatchError("q vanishes on the support of p")
-    support = p > 0.0
-    return float(np.sum(p[support] * np.log(p[support] / q[support])))

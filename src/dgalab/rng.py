@@ -3,8 +3,8 @@
 Every stochastic routine in the package takes an explicit ``RngStream``.
 A stream is a value, not a stateful object: drawing from the same stream
 twice yields the same numbers. Fresh randomness comes from deriving child
-streams (disjoint Philox keys) or advancing the counter, both of which
-return new values and leave the original untouched.
+streams (disjoint Philox keys), which returns a new value and leaves the
+original untouched.
 """
 
 from __future__ import annotations
@@ -28,32 +28,23 @@ def _mix64(x: int) -> int:
 class RngStream:
     """Immutable handle into a Philox counter-based generator.
 
-    (seed, stream_id) selects the 128-bit Philox key; counter offsets the
-    block counter in 2**64-block strides so distinct counters never overlap.
+    (seed, stream_id) selects the 128-bit Philox key.
     """
 
     seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator positioned at this stream's state."""
         key = np.array(
             [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
-        bg = np.random.Philox(key=key)
-        if self.counter:
-            bg.advance((self.counter & _MASK64) << 64)
-        return np.random.Generator(bg)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Statistically independent stream derived from this one."""
         derived = _mix64(self.stream_id ^ _mix64((index & _MASK64) ^ 0x9E3779B97F4A7C15))
-        return RngStream(self.seed, derived, 0)
-
-    def advanced(self, blocks: int = 1) -> "RngStream":
-        """Stream shifted forward by `blocks` counter strides."""
-        return RngStream(self.seed, self.stream_id, self.counter + blocks)
+        return RngStream(self.seed, derived)
 
     def normal(self, size, scale: float = 1.0) -> np.ndarray:
         """Standard normal draws times `scale` (exact zeros for scale 0)."""

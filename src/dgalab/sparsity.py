@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import csv_text
 from .errors import InvalidInputError, InvalidRateError
 from .numerics import check_prob_vector, softmax_rows
 from .rng import RngStream
@@ -35,14 +34,12 @@ _CHUNK_ENTRIES = 4_000_000
 class LogitSource:
     """Named distribution over length-L logit vectors.
 
-    draw(rng, n, L) returns an (n, L) float array. `exchangeable` controls
-    whether the bound may use a single generic coordinate; correlated but
-    non-exchangeable sources average the bound over coordinates.
+    draw(rng, n, L) returns an (n, L) float array whose coordinates are
+    exchangeable, so the bound may use a single generic coordinate.
     """
 
     name: str
     draw: Callable[[RngStream, int, int], np.ndarray]
-    exchangeable: bool = True
 
 
 def gaussian_source(mean: float = 0.0, std: float = 1.0) -> LogitSource:
@@ -100,7 +97,7 @@ def attention_source(d: int = 16) -> LogitSource:
             out[start:stop] = np.einsum("nld,nd->nl", keys, queries) / np.sqrt(d)
         return out
 
-    return LogitSource(f"attention(d={d})", draw, exchangeable=True)
+    return LogitSource(f"attention(d={d})", draw)
 
 
 def named_source(name: str, d: int = 16) -> LogitSource:
@@ -162,17 +159,6 @@ def _logsumexp_rest(logits: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(rest - m[:, None]).sum(axis=1))
 
 
-def p_sparse_lower_bound(
-    source: LogitSource,
-    L: int,
-    rho: float,
-    x_grid=None,
-    trials: int = 10_000,
-    rng: RngStream = RngStream(0),
-) -> float:
-    return p_sparse_lower_bound_detail(source, L, rho, x_grid, trials, rng).bound
-
-
 def p_sparse_lower_bound_detail(
     source: LogitSource,
     L: int,
@@ -186,8 +172,8 @@ def p_sparse_lower_bound_detail(
     The per-coordinate head/tail events are evaluated in log space so
     heavy-tailed logits cannot overflow. When x_grid is None, 32
     log-spaced points spanning the [1st, 99th] percentile of exp(xi_j)
-    are used. Non-exchangeable sources average the per-x bound over all
-    coordinates before maximizing.
+    are used. The source's exchangeability lets coordinate 0 stand for
+    every coordinate.
     """
     rho = _check_rho(rho, L)
     if trials < 10_000:
@@ -201,24 +187,13 @@ def p_sparse_lower_bound_detail(
 
     log_thresh = np.log(L * rho - 1.0)
     block = max(1, _CHUNK_ENTRIES // L)
-    # One representative coordinate for an exchangeable source, all L
-    # coordinates otherwise; the grid search below treats both alike.
-    J = 1 if source.exchangeable else L
-    log_head = np.empty((trials, J))
-    log_tail = np.empty((trials, J))
+    log_head = np.empty(trials)
+    log_tail = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(trials, start + block)
         logits = source.draw(rng.child(start), stop - start, L)
-        if source.exchangeable:
-            log_head[start:stop, 0] = logits[:, 0]
-            log_tail[start:stop, 0] = _logsumexp_rest(logits)
-        else:
-            log_total = np.logaddexp.reduce(logits, axis=1)[:, None]
-            log_head[start:stop] = logits
-            with np.errstate(divide="ignore"):
-                log_tail[start:stop] = log_total + np.log1p(
-                    -np.exp(np.minimum(logits - log_total, 0.0))
-                )
+        log_head[start:stop] = logits[:, 0]
+        log_tail[start:stop] = _logsumexp_rest(logits)
     if x_grid is None:
         lo, hi = np.percentile(log_head, [1.0, 99.0])
         grid_logs = np.linspace(lo, hi, 32)
@@ -227,11 +202,10 @@ def p_sparse_lower_bound_detail(
     best = BoundDetail(-np.inf, 0.0, np.nan)
     for lx in grid_logs:
         union = (log_head <= lx) | (log_thresh + lx <= log_tail)
-        u = union.mean(axis=0)
-        bound = float(np.clip(1.0 - u**L, 0.0, 1.0).mean())
+        u = union.mean()
+        bound = float(np.clip(1.0 - u**L, 0.0, 1.0))
         if bound > best.bound:
-            se_j = L * u ** (L - 1) * np.sqrt(u * (1.0 - u) / trials)
-            se = float(np.sqrt(np.mean(se_j**2) / J))
+            se = float(L * u ** (L - 1) * np.sqrt(u * (1.0 - u) / trials))
             best = BoundDetail(bound, se, float(np.exp(lx)))
     return best
 
@@ -265,24 +239,6 @@ class SparsityReport:
             cell = self.entries[(L, rho)]
             out.append((L, rho, cell.empirical_p, cell.bound_p, cell.samples))
         return out
-
-    def to_csv_text(self) -> str:
-        return csv_text(self.HEADER, self.rows())
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SparsityReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != ",".join(cls.HEADER):
-            raise InvalidInputError("bad sparsity CSV header")
-        report = cls()
-        for ln in lines[1:]:
-            L, rho, emp, bound, samples = ln.split(",")
-            report.add(
-                int(L),
-                float(rho),
-                SparsityCell(float(emp), float(bound), int(samples)),
-            )
-        return report
 
 
 def sparsity_profile(

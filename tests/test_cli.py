@@ -5,7 +5,6 @@ import pytest
 
 from dgalab.cli import build_parser, load_config, main
 from dgalab.csvio import write_csv
-from dgalab.sparsity import SparsityReport
 
 
 def run(argv):
@@ -59,6 +58,15 @@ class TestConfigFile:
         code = run(["dga-check", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        """A misspelt key is named and rejected, not silently dropped."""
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("L=16\nrho=0.5\ntrails=5\n")
+        out = tmp_path / "out"
+        assert run(["sparsity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "trails" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed=1\nL=16\nrho=0.5\ntrials=10000\n")
@@ -78,10 +86,14 @@ class TestSubcommands:
     def test_sparsity_writes_parseable_report(self, tmp_path):
         assert run(["sparsity", "--seed", "3", "--L", "32,64", "--rho", "0.1,0.5",
                     "--trials", "10000", "--out", str(tmp_path)]) == 0
-        report = SparsityReport.from_csv_text((tmp_path / "sparsity.csv").read_text())
-        assert len(report.entries) == 4
-        for cell in report.entries.values():
-            assert cell.samples == 10000
+        lines = (tmp_path / "sparsity.csv").read_text().splitlines()
+        assert lines[0] == "L,rho,empirical_p,bound_p,samples"
+        assert len(lines) == 1 + 4
+        for line in lines[1:]:
+            L, rho, empirical_p, bound_p, samples = line.split(",")
+            assert int(samples) == 10000
+            assert 0.0 <= float(empirical_p) <= 1.0
+            assert 0.0 <= float(bound_p) <= 1.0
 
     def test_coding_outputs_hold_everywhere(self, tmp_path):
         assert run(["coding", "--L", "8", "--d", "16", "--m", "2,4", "--instances", "20",
@@ -134,6 +146,13 @@ class TestSubcommands:
         assert run(["dga-check", "--seed", "7", "--L", "24", "--d", "8", "--m", "4",
                     "--gamma", "0.25", "--cases", "10", "--out", str(tmp_path)]) == 0
 
+    def test_dga_check_rejects_fewer_than_one_case(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for cases in ("-3", "0"):
+            assert run(["dga-check", "--cases", cases, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "passed" not in capsys.readouterr().out
+
     def test_dga_check_failure_dumps_matrices(self, tmp_path, monkeypatch, capsys):
         """A disagreeing oracle makes the battery exit 1 and dump the case."""
         import dgalab.cli as cli_mod
@@ -177,6 +196,13 @@ class TestSubcommands:
         assert first[4] == first[1] + first[2] + first[3]  # tail includes the new token
         summary = (tmp_path / "ledger_summary.csv").read_text().splitlines()
         assert summary[0].startswith("tokens,dga_columns,vanilla_columns")
+
+    def test_decode_bench_rejects_negative_steps(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["decode-bench", "--L", "16", "--d", "4", "--m", "2", "--steps", "-4",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "steps" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         """Same seed and flags give identical file bytes for every command."""

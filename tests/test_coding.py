@@ -18,7 +18,7 @@ from dgalab.coding import (
     solve_coding,
     verify_condition_numbers,
 )
-from dgalab.csvio import csv_text
+from dgalab.csvio import write_csv
 from dgalab.errors import IndivisibleError, InvalidInputError, StepTooLargeError
 from dgalab.numerics import softmax, sym_eigenvalues
 from dgalab.rng import RngStream
@@ -241,13 +241,16 @@ class TestKlUnderNoise:
             for sigma, kl_plain, kl_grouped in rows:
                 assert kl_grouped <= kl_plain
 
-    def test_rows_round_trip_csv_schema(self):
+    def test_rows_round_trip_csv_schema(self, tmp_path):
         rng = np.random.default_rng(11)
         inst = random_instance(rng, 8, 4)
         rows = kl_under_noise(inst, GroupStructure(8, 4), [0.0, 1e-2], 200, RngStream(31))
-        text = csv_text(["sigma", "kl_ungrouped", "kl_grouped"], rows)
+        header = ["sigma", "kl_ungrouped", "kl_grouped"]
+        write_csv(str(tmp_path / "a.csv"), header, rows)
+        text = (tmp_path / "a.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == "sigma,kl_ungrouped,kl_grouped"
         parsed = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
         assert parsed == [tuple(map(float, row)) for row in rows]
-        assert csv_text(["sigma", "kl_ungrouped", "kl_grouped"], parsed) == text
+        write_csv(str(tmp_path / "b.csv"), header, parsed)
+        assert (tmp_path / "b.csv").read_text() == text

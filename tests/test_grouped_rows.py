@@ -1,5 +1,6 @@
-"""Grouped attention across query row blocks, and the partition layout
-against brute force on small edge inputs."""
+"""Grouped attention across query row blocks, the partition layout
+against brute force on small edge inputs, and the sampled-score pipeline
+against the oracle."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
+    SampleSpec,
     build_group_mask,
     compute_partition,
+    dga_attention,
     dga_attention_with_partition,
     partition_tokens,
 )
 from dgalab.oracles import mask_by_reachability, naive_dga_attention
+from dgalab.rng import RngStream
 
 
 def random_batch(rng, L, d):
@@ -110,3 +114,43 @@ def test_all_focal_or_unit_blocks_equal_causal_attention(L, kind, m, gamma, d, s
     part = partition_tokens(scores, 1.0, m) if kind == "all focal" else partition_tokens(scores, gamma, 1)
     want, _ = causal_attention(batch)
     np.testing.assert_allclose(dga_attention_with_partition(batch, part), want, atol=1e-12)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A batch with logits up to +-700, m, gamma and a SampleSpec that fits L."""
+    L = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    gamma = draw(st.sampled_from([1.0 / L, 0.1, 0.5, 1.0]))
+    recent = draw(st.integers(0, L))
+    spec = SampleSpec(recent, draw(st.integers(0 if recent else 1, L - recent)))
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    batch = scaled_batch(draw(st.integers(0, 2**32 - 1)), L, draw(st.integers(1, 4)), reach)
+    return batch, m, gamma, spec, draw(st.integers(0, 2**32 - 1))
+
+
+@given(pipeline_cases())
+def test_sampled_pipeline_matches_oracle(case):
+    """dga_attention with a spec equals the oracle on the partition that
+    the same spec and stream give."""
+    batch, m, gamma, spec, s = case
+    part = compute_partition(batch, m, gamma, spec, RngStream(s))
+    got = dga_attention(batch, m, gamma, spec, RngStream(s))
+    np.testing.assert_allclose(got, naive_dga_attention(batch, part), rtol=0, atol=1e-12)
+
+
+@given(pipeline_cases(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))
+def test_output_is_linear_in_values(case, a, b, v_seed):
+    """The partition reads only Q and K, so the output is linear in V."""
+    batch, m, gamma, spec, s = case
+    v2 = np.random.default_rng(v_seed).normal(size=batch.v.shape)
+    mixed = AttentionBatch(batch.q, batch.k, a * batch.v + b * v2)
+    np.testing.assert_array_equal(
+        compute_partition(mixed, m, gamma, spec, RngStream(s)).groups,
+        compute_partition(batch, m, gamma, spec, RngStream(s)).groups,
+    )
+    out1 = dga_attention(batch, m, gamma, spec, RngStream(s))
+    out2 = dga_attention(AttentionBatch(batch.q, batch.k, v2), m, gamma, spec, RngStream(s))
+    got = dga_attention(mixed, m, gamma, spec, RngStream(s))
+    tol = 1e-12 * np.abs(mixed.v).max()
+    np.testing.assert_allclose(got, a * out1 + b * out2, rtol=0, atol=tol)

@@ -1,26 +1,18 @@
-"""Kernels: softmax, simplex projection, symmetric eigenvalues, KL."""
+"""Kernels: softmax, simplex projection, symmetric eigenvalues."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgalab.errors import (
-    ConvergenceError,
-    DegenerateSpectrumError,
-    InvalidInputError,
-    SupportMismatchError,
-)
+from dgalab.errors import ConvergenceError, DegenerateSpectrumError, InvalidInputError
 from dgalab.numerics import (
     condition_number,
-    gaussian_sample,
-    kl_divergence,
     project_to_simplex,
     softmax,
     sym_eigenvalues,
 )
 from dgalab.oracles import jacobi_eigenvalues
-from dgalab.rng import RngStream
 
 
 class TestSoftmax:
@@ -194,50 +186,3 @@ class TestConditionNumber:
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidInputError):
             condition_number([1.0, 2.0])
-
-
-class TestGaussianSample:
-    def test_sigma_zero(self):
-        assert np.all(gaussian_sample(100, 0.0, RngStream(1)) == 0.0)
-
-    def test_law_of_large_numbers(self):
-        draws = gaussian_sample(10**6, 1.0, RngStream(2))
-        assert abs(np.var(draws) - 1.0) < 0.01
-        assert abs(np.mean(draws)) < 0.01
-
-    def test_deterministic(self):
-        np.testing.assert_array_equal(
-            gaussian_sample(10, 2.0, RngStream(3)), gaussian_sample(10, 2.0, RngStream(3))
-        )
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gaussian_sample(3, -1.0, RngStream(0))
-
-
-class TestKlDivergence:
-    def test_identical_distributions(self):
-        assert kl_divergence([0.25, 0.75], [0.25, 0.75]) == 0.0
-
-    def test_one_hot_vs_uniform(self):
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
-
-    def test_closed_form_pair(self):
-        want = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-        assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(want)
-
-    def test_support_mismatch(self):
-        with pytest.raises(SupportMismatchError):
-            kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-    def test_nonnegative_with_equality_iff_equal(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            n = int(rng.integers(2, 20))
-            p = softmax(rng.normal(size=n))
-            q = softmax(rng.normal(size=n))
-            kl = kl_divergence(p, q)
-            assert kl >= 0.0
-            if np.abs(p - q).max() > 1e-6:
-                assert kl > 0.0
-            assert kl_divergence(p, p) <= 1e-12

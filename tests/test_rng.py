@@ -21,13 +21,6 @@ class TestDeterminism:
         b = RngStream(42, 1).normal(64)
         assert np.abs(a - b).max() > 1e-3
 
-    def test_advanced_counter_differs_and_repeats(self):
-        base = RngStream(9)
-        moved = base.advanced(2)
-        assert moved.counter == 2
-        assert np.abs(base.normal(32) - moved.normal(32)).max() > 1e-3
-        np.testing.assert_array_equal(moved.normal(32), base.advanced(2).normal(32))
-
 
 class TestChildren:
     def test_children_are_distinct(self):

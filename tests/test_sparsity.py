@@ -6,8 +6,6 @@ import pytest
 from dgalab.errors import InvalidInputError, InvalidRateError
 from dgalab.rng import RngStream
 from dgalab.sparsity import (
-    SparsityCell,
-    SparsityReport,
     attention_source,
     constant_source,
     empirical_p_sparse,
@@ -15,7 +13,6 @@ from dgalab.sparsity import (
     is_rho_sparse,
     mixture_source,
     named_source,
-    p_sparse_lower_bound,
     p_sparse_lower_bound_detail,
     sample_weight_rows,
     sparsity_profile,
@@ -90,18 +87,18 @@ class TestLowerBound:
         at every x, either the head event (exp(c) <= x) or the tail event
         ((L rho - 1) x <= (L-1) exp(c)) holds, so the per-coordinate union
         probability is 1."""
-        bound = p_sparse_lower_bound(
+        bound = p_sparse_lower_bound_detail(
             constant_source(0.7), L=16, rho=0.5, trials=10_000, rng=RngStream(3)
-        )
+        ).bound
         assert bound == 0.0
 
     def test_rho_near_lower_limit_collapses(self):
         """As rho -> 1/L the sparsity threshold approaches 1, the tail
         event holds everywhere, and the bound collapses to zero."""
         L = 16
-        bound = p_sparse_lower_bound(
+        bound = p_sparse_lower_bound_detail(
             gaussian_source(), L=L, rho=1.05 / L, trials=10_000, rng=RngStream(4)
-        )
+        ).bound
         emp = empirical_p_sparse(
             sample_weight_rows(gaussian_source(), L, 4000, RngStream(5)), 1.05 / L
         )
@@ -142,51 +139,23 @@ class TestLowerBound:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            p_sparse_lower_bound(
+            p_sparse_lower_bound_detail(
                 gaussian_source(), 16, 0.5, x_grid=[1.0, -2.0], trials=10_000,
                 rng=RngStream(9),
-            )
+            ).bound
         with pytest.raises(InvalidInputError):
-            p_sparse_lower_bound(
+            p_sparse_lower_bound_detail(
                 gaussian_source(), 16, 0.5, trials=100, rng=RngStream(9)
-            )
+            ).bound
 
     def test_deterministic(self):
-        a = p_sparse_lower_bound(gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10))
-        b = p_sparse_lower_bound(gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10))
+        a = p_sparse_lower_bound_detail(
+            gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10)
+        ).bound
+        b = p_sparse_lower_bound_detail(
+            gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10)
+        ).bound
         assert a == b
-
-    def test_non_exchangeable_source_averages_over_coordinates(self):
-        """Coordinate-dependent means force the per-j averaging path."""
-        from dgalab.sparsity import LogitSource
-
-        def draw(rng, n, L):
-            shift = np.linspace(0.0, 2.0, L)
-            return shift + rng.generator().standard_normal((n, L))
-
-        lopsided = LogitSource("lopsided", draw, exchangeable=False)
-        detail = p_sparse_lower_bound_detail(
-            lopsided, 32, 0.25, trials=10_000, rng=RngStream(16)
-        )
-        assert 0.0 <= detail.bound <= 1.0
-        rows = sample_weight_rows(lopsided, 32, 4000, RngStream(17))
-        emp = empirical_p_sparse(rows, 0.25)
-        assert emp >= detail.bound - 3.0 * (detail.standard_error + np.sqrt(emp * (1 - emp) / 4000 + 1e-9))
-
-    def test_per_coordinate_arm_agrees_with_single_coordinate_arm(self):
-        """The same i.i.d. Gaussian source declared non-exchangeable runs
-        the J = L arm of the grid search; it must agree with the J = 1 arm
-        within three combined standard errors."""
-        from dgalab.sparsity import LogitSource
-
-        iid = gaussian_source()
-        per_coord = LogitSource("gaussian per-coordinate", iid.draw, exchangeable=False)
-        one = p_sparse_lower_bound_detail(iid, 32, 0.25, trials=10_000, rng=RngStream(18))
-        every = p_sparse_lower_bound_detail(per_coord, 32, 0.25, trials=10_000, rng=RngStream(18))
-        slack = 3.0 * np.hypot(one.standard_error, every.standard_error)
-        assert abs(one.bound - every.bound) <= slack
-        # Averaging over L coordinates shrinks the standard error.
-        assert every.standard_error < 0.5 * one.standard_error
 
 
 def test_named_source_table():
@@ -229,15 +198,6 @@ class TestSparsityProfile:
         assert (64, 0.01) not in report.entries
         assert (256, 0.01) in report.entries
         assert (64, 0.05) in report.entries
-
-    def test_csv_round_trip_is_bit_exact(self):
-        report = SparsityReport()
-        report.add(64, 0.05, SparsityCell(0.125, 0.1, 1000))
-        report.add(256, 1.0 / 3.0, SparsityCell(0.9999999999999999, 0.25, 77))
-        text = report.to_csv_text()
-        back = SparsityReport.from_csv_text(text)
-        assert back.to_csv_text() == text
-        assert back.entries == report.entries
 
     def test_attention_source_rows_are_reported(self):
         """Correlated logits from random attention batches: values are
