@@ -101,7 +101,15 @@ def _prepare(args) -> argparse.Namespace:
     return argparse.Namespace(rng=RngStream(values["seed"]), **values)
 
 
+def _check_at_least(p, **lows) -> None:
+    """Reject a count flag below its minimum before any file is written."""
+    for flag, low in lows.items():
+        if getattr(p, flag) < low:
+            raise ValueError(f"--{flag} must be at least {low}, got {getattr(p, flag)}")
+
+
 def run_sparsity(p) -> int:
+    _check_at_least(p, trials=1, d=1)
     source = named_source(p.sampler, d=p.d)
     report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
     path = os.path.join(p.out, "sparsity.csv")
@@ -111,6 +119,7 @@ def run_sparsity(p) -> int:
 
 
 def run_coding(p) -> int:
+    _check_at_least(p, instances=1, iters=1)
     L, d = p.L, p.d
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -145,6 +154,7 @@ def run_coding(p) -> int:
 
 
 def run_noise(p) -> int:
+    _check_at_least(p, trials=2)
     L, trials = p.L, p.trials
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -175,10 +185,8 @@ def run_noise(p) -> int:
 
 
 def run_dga_check(p) -> int:
+    _check_at_least(p, L=2, d=1, cases=1)
     m, gamma = p.m, p.gamma
-    if p.L < 2 or p.d < 1 or p.cases < 1:
-        raise ValueError("need L >= 2, d >= 1 and cases >= 1")
-
     for case in range(p.cases):
         case_rng = p.rng.child(case)
         gen = case_rng.generator()
@@ -201,9 +209,7 @@ def run_dga_check(p) -> int:
         for got_exact, want_exact in zip(exact, naive_causal_attention(batch)):
             if np.abs(got_exact - want_exact).max() > 1e-12:
                 failures.append(("causal", got_exact, want_exact))
-        degenerate = dga_attention_with_partition(
-            batch, compute_partition(batch, m, 1.0)
-        )
+        degenerate = dga_attention_with_partition(batch, compute_partition(batch, m, 1.0))
         if np.abs(degenerate - exact[0]).max() > 1e-10:
             failures.append(("degenerate", degenerate, exact[0]))
 
@@ -225,20 +231,22 @@ def run_dga_check(p) -> int:
 
 
 def run_decode_bench(p) -> int:
-    if p.steps < 0:
-        raise ValueError("steps must be nonnegative")
-    d = p.d
-    batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, d)))
+    _check_at_least(p, steps=0, d=1)
+    batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, p.d)))
     _, state = prefill(batch, p.m, p.gamma)
     gen = p.rng.child(1).generator()
-    for _ in range(p.steps):
-        q, k, v = gen.standard_normal((3, d))
+    trace = []
+    for step in range(1, p.steps + 1):
+        q, k, v = gen.standard_normal((3, p.d))
+        columns = state.rows + 1  # the step attends the cache plus its own token
         decode_step(state, q, k, v)
+        trace.append((step, state.focal_rows, state.group_rows, state.tail_rows,
+                      columns, state.rows))
 
     write_csv(
         os.path.join(p.out, "decode_trace.csv"),
         ["step", "focal_rows", "group_rows", "tail_rows", "columns_touched", "cache_entries"],
-        state.trace,
+        trace,
     )
     dga = ledger(state)
     vanilla = vanilla_ledger(state.total_tokens)

@@ -7,20 +7,20 @@ the end of the tail and attends over the live rows -- everything cached
 is in the past, so no mask is needed. Once the tail reaches
 m' = ceil(1.1 m) rows, the oldest m of them collapse in place into one
 new aggregated row, weighted by the current query's softmax over those m
-keys. The ledger tracks exact per-token column counts and cache sizes
-against the vanilla full-attention baseline.
+keys; both softmaxes are the pooling that builds the prefill aggregates.
+The ledger compares the cache and its dot product count against vanilla
+full attention; `decode-bench` writes the per-step trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionBatch
-from .dga import _attend, build_grouped_kv, compute_partition
+from .dga import _attend, _pool, build_grouped_kv, compute_partition
 from .errors import InvalidInputError
-from .numerics import softmax
 
 
 def regroup_threshold(m: int) -> int:
@@ -44,27 +44,25 @@ class DecoderState:
     cache is one (2, capacity, d) buffer, keys in cache[0] and values in
     cache[1], laid out as build_grouped_kv lays out its rows plus the
     tail: [focal | aggregated blocks | tail]. Rows [0, rows) are live;
-    the capacity doubles when a new token finds the buffer full.
+    the capacity doubles when a new token finds the buffer full. dots
+    counts prefill's and every decode step's dot products.
     """
 
     d: int
     m: int
-    gamma: float
     cache: np.ndarray
     focal_rows: int = 0
     group_rows: int = 0
     rows: int = 0
     generated: int = 0
     prefill_tokens: int = 0
-    prefill_dots: int = 0
-    decode_dots: int = 0
-    trace: list = field(default_factory=list)
+    dots: int = 0
 
     @classmethod
-    def empty(cls, d: int, m: int, gamma: float) -> "DecoderState":
+    def empty(cls, d: int, m: int) -> "DecoderState":
         if d < 1 or m < 1:
             raise InvalidInputError("d and m must be at least 1")
-        return cls(d, m, gamma, np.zeros((2, 0, d)))
+        return cls(d, m, np.zeros((2, 0, d)))
 
     @property
     def tail_rows(self) -> int:
@@ -85,13 +83,11 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     """
     partition = compute_partition(batch, m, gamma)
     kv = build_grouped_kv(batch, partition)
-    outputs = _attend(batch, kv)
-    L, d = batch.q.shape
-    r, k = partition.r, partition.k
-    comp_width = m if k > 0 else 0
+    outputs = _attend(batch, partition, kv)
+    L, r, k = batch.length, partition.r, partition.k
     state = DecoderState(
-        d, m, gamma, kv.rows, focal_rows=r, group_rows=k, rows=r + k,
-        prefill_tokens=L, prefill_dots=L * (r + k + comp_width),
+        batch.width, m, kv, focal_rows=r, group_rows=k, rows=r + k,
+        prefill_tokens=L, dots=L * (r + k + (m if k > 0 else 0)),
     )
     return outputs, state
 
@@ -104,65 +100,48 @@ def decode_step(
     Mutates `state` in place and returns it alongside the attention
     output. Aggregation fires when the tail reaches ceil(1.1 m) rows,
     collapsing the oldest m with weights softmax(q . K_member / sqrt(d));
-    its m member dot products count towards decode_dots.
+    columns and member dots count towards `dots`. Invalid q/k/v change nothing.
     """
-    q = np.asarray(q_new, dtype=np.float64).reshape(-1)
-    k = np.asarray(k_new, dtype=np.float64).reshape(-1)
-    v = np.asarray(v_new, dtype=np.float64).reshape(-1)
-    if q.size != state.d or k.size != state.d or v.size != state.d:
+    vecs = [np.asarray(x, dtype=np.float64).reshape(-1) for x in (q_new, k_new, v_new)]
+    if any(x.size != state.d for x in vecs):
         raise InvalidInputError(f"q/k/v must have width {state.d}")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
+    qkv = np.stack(vecs)
+    if not np.isfinite(qkv).all():
         raise InvalidInputError("q/k/v contain non-finite entries")
+    q = qkv[0]
 
     if state.rows == state.cache.shape[1]:
         grow = np.empty((2, max(state.rows, 1), state.d))
         state.cache = np.concatenate([state.cache, grow], axis=1)
-    state.cache[:, state.rows] = k, v
+    state.cache[:, state.rows] = qkv[1:]
     state.rows += 1
     state.generated += 1
 
-    keys, values = state.cache[:, : state.rows]
-    scale = 1.0 / np.sqrt(state.d)
-    weights = softmax((keys @ q) * scale)
-    out = weights @ values
-
-    columns = state.rows
-    state.decode_dots += columns
+    (out,) = _pool(state.cache[0, : state.rows], q, state.cache[1, : state.rows])
+    state.dots += state.rows
 
     m = state.m
     if state.tail_rows >= regroup_threshold(m):
         g = state.focal_rows + state.group_rows
         members_k, members_v = state.cache[:, g : g + m]
-        p = softmax((members_k @ q) * scale)
         # The aggregate replaces the first member; leftover tail rows move up.
-        state.cache[:, g] = p @ members_k, p @ members_v
+        state.cache[:, g] = _pool(members_k, q, members_k, members_v)
         state.cache[:, g + 1 : state.rows - m + 1] = state.cache[:, g + m : state.rows]
         state.group_rows += 1
         state.rows -= m - 1
-        state.decode_dots += m
-
-    state.trace.append(
-        (
-            state.generated,
-            state.focal_rows,
-            state.group_rows,
-            state.tail_rows,
-            columns,
-            state.rows,
-        )
-    )
+        state.dots += m
     return out, state
 
 
 def ledger(state: DecoderState) -> ComplexityLedger:
     """Counts for the current state: next-token column cost equals
-    focal + block + tail rows; cache entries likewise; dot products
-    accumulate prefill blocks plus every decode step's columns and
-    regroup members."""
+    focal + block + tail rows; cache entries likewise; dot products are
+    the state's `dots`: prefill attention plus every decode step's
+    columns and regroup members."""
     return ComplexityLedger(
         per_token_columns=state.rows,
         cache_entries=state.rows,
-        score_dot_products=state.prefill_dots + state.decode_dots,
+        score_dot_products=state.dots,
     )
 
 

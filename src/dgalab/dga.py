@@ -3,8 +3,9 @@
 Pipeline: score each token by its causal attention weight averaged over
 every query row that sees it (exact) or over a sampled set of rows, split
 tokens into focal and non-focal sets, chunk the non-focal subsequence
-into blocks of m, aggregate each block's keys/values with the block's
-last-position query, and attend over the compact layout
+into blocks of m, pool each block's keys/values with the softmax of its
+last-position query (`_pool`, which decoding shares), and attend over
+the compact layout
 
     [focal tokens | aggregated blocks | complement members]
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from .attention import _ROW_BLOCK, AttentionBatch, _causal_tile
 from .errors import InvalidInputError, InvalidSpecError
-from .numerics import softmax_rows
 from .rng import RngStream
 
 
@@ -146,36 +146,30 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     return TokenPartition(L, m, float(gamma), focal, groups, neighbor)
 
 
-@dataclass(frozen=True)
-class GroupedKV:
-    """Compact attention layout for one partition.
-
-    rows is one (2, r + k, d) array: rows[0] holds keys and rows[1]
-    values, the r focal rows first in ascending token order, then one
-    aggregated row per block (weights in p_rows, one softmax per block
-    from the block's last-position query). Decoding extends this same
-    layout with its pending tail.
-    """
-
-    rows: np.ndarray
-    p_rows: np.ndarray
-    partition: TokenPartition
+def _pool(keys: np.ndarray, q: np.ndarray, *values: np.ndarray) -> list:
+    """softmax(keys . q / sqrt(d)) over the key axis, applied to each value
+    stack: keys (..., n, d), q (..., d), stacks (..., n, d'). Returns one
+    (..., d') array per stack."""
+    w = (keys @ q[..., None])[..., 0]
+    w *= 1.0 / np.sqrt(q.shape[-1])
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return [(w[..., None, :] @ v)[..., 0, :] for v in values]
 
 
-def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> GroupedKV:
+def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
+    """(2, r + k, d) keys and values: the r focal rows in token order, then
+    one row per block pooled with its last-position query's softmax.
+    Decoding extends this layout with its pending tail."""
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
     groups, r = partition.groups, partition.r
-    scale = 1.0 / np.sqrt(batch.width)
     members_k = batch.k[groups]
-    p_rows = softmax_rows(
-        np.einsum("gmd,gd->gm", members_k, batch.q[groups[:, -1]]) * scale
-    )
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
-    rows[0, r:] = np.einsum("gm,gmd->gd", p_rows, members_k)
-    rows[1, r:] = np.einsum("gm,gmd->gd", p_rows, batch.v[groups])
-    return GroupedKV(rows, p_rows, partition)
+    rows[0, r:], rows[1, r:] = _pool(members_k, batch.q[groups[:, -1]], members_k, batch.v[groups])
+    return rows
 
 
 def _padded_groups(partition: TokenPartition) -> np.ndarray:
@@ -211,9 +205,9 @@ def build_group_mask(partition: TokenPartition) -> np.ndarray:
     return _visible(partition, rows, partition.r, partition.k, members).astype(np.float64)
 
 
-def _attend(batch: AttentionBatch, kv: GroupedKV) -> np.ndarray:
-    """dga_attention_with_partition over an already built layout."""
-    partition, (keys, values) = kv.partition, kv.rows
+def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) -> np.ndarray:
+    """dga_attention_with_partition over the rows build_grouped_kv returned."""
+    keys, values = kv
     r, scale = partition.r, 1.0 / np.sqrt(batch.width)
     out = np.empty_like(batch.q)
     padded = _padded_groups(partition)
@@ -248,7 +242,7 @@ def dga_attention_with_partition(
     for the m complement members; _visible hides the rest at -inf. The
     output, not the weights, is divided by the row sums.
     """
-    return _attend(batch, build_grouped_kv(batch, partition))
+    return _attend(batch, partition, build_grouped_kv(batch, partition))
 
 
 def compute_partition(

@@ -191,9 +191,15 @@ class TestSubcommands:
         lines = (tmp_path / "decode_trace.csv").read_text().splitlines()
         assert lines[0] == "step,focal_rows,group_rows,tail_rows,columns_touched,cache_entries"
         assert len(lines) == 13
-        first = [int(tok) for tok in lines[1].split(",")]
-        assert first[0] == 1
+        rows = [[int(tok) for tok in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(1, 13))
+        for row in rows:
+            assert row[1] + row[2] + row[3] == row[5]
+        first = rows[0]
         assert first[4] == first[1] + first[2] + first[3]  # tail includes the new token
+        for prev, row in zip(rows, rows[1:]):
+            assert row[4] == prev[5] + 1
+        assert any(row[2] > prev[2] for prev, row in zip(rows, rows[1:]))  # a regroup
         summary = (tmp_path / "ledger_summary.csv").read_text().splitlines()
         assert summary[0].startswith("tokens,dga_columns,vanilla_columns")
 
@@ -203,6 +209,48 @@ class TestSubcommands:
                     "--out", str(out)]) == 2
         assert not out.exists()
         assert "steps" in capsys.readouterr().err
+
+    def test_coding_rejects_fewer_than_one_instance(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for instances in ("-3", "0"):
+            assert run(["coding", "--L", "8", "--d", "4", "--m", "2", "--instances", instances,
+                        "--iters", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("--instances") == 2
+
+    def test_coding_rejects_fewer_than_one_iteration(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["coding", "--L", "8", "--d", "4", "--m", "2", "--instances", "2",
+                    "--iters", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--iters" in capsys.readouterr().err
+
+    def test_noise_rejects_fewer_than_two_trials(self, tmp_path, capsys):
+        """One trial has no sample variance: it would write nan."""
+        out = tmp_path / "out"
+        for trials in ("1", "0"):
+            assert run(["noise", "--L", "8", "--m", "2", "--sigma", "0.01", "--trials", trials,
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("--trials") == 2
+
+    def test_sparsity_rejects_fewer_than_one_trial(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["sparsity", "--L", "32", "--rho", "0.1", "--trials", "0",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--trials" in capsys.readouterr().err
+
+    def test_zero_width_is_rejected(self, tmp_path, capsys):
+        """A width of 0 crashed the attention sampler and made decode-bench
+        divide by sqrt(0) yet exit 0."""
+        out = tmp_path / "out"
+        assert run(["sparsity", "--sampler", "attention", "--d", "0", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert run(["decode-bench", "--L", "16", "--d", "0", "--steps", "4",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("--d must be at least 1") == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         """Same seed and flags give identical file bytes for every command."""

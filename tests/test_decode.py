@@ -60,14 +60,14 @@ class TestPrefill:
         assert state.focal_rows == part.r
         assert state.group_rows == part.k
         assert state.tail_rows == 0
-        assert state.prefill_dots == L * (part.r + part.k + m)
+        assert state.dots == ledger(state).score_dot_products == L * (part.r + part.k + m)
         np.testing.assert_allclose(outputs, dga_attention(batch, m, gamma), atol=1e-14)
 
 
 class TestDecodeStep:
     def test_first_step_after_empty_prefill_is_self_attention(self):
         rng = np.random.default_rng(3)
-        state = DecoderState.empty(5, 2, 0.1)
+        state = DecoderState.empty(5, 2)
         q, k, v = rng.normal(size=(3, 5))
         out, state = decode_step(state, q, k, v)
         np.testing.assert_allclose(out, v, atol=1e-14)
@@ -75,7 +75,7 @@ class TestDecodeStep:
 
     def test_block_forms_after_threshold(self):
         rng = np.random.default_rng(4)
-        state = DecoderState.empty(3, 2, 0.1)
+        state = DecoderState.empty(3, 2)
         for step in range(3):
             _, state = decode_step(state, *rng.normal(size=(3, 3)))
         assert state.group_rows == 1
@@ -87,19 +87,21 @@ class TestDecodeStep:
         batch = random_batch(rng, L, d)
         _, state = prefill(batch, m, gamma)
         session = NaiveDecodeSession.from_prefill(batch, compute_partition(batch, m, gamma))
+        columns = []
         for _ in range(50):
             q, k, v = rng.normal(size=(3, d))
+            columns.append(ledger(state).per_token_columns + 1)
             got, state = decode_step(state, q, k, v)
             want = session.step(q, k, v)
             np.testing.assert_allclose(got, want, atol=1e-10)
-        assert [row[4] for row in state.trace] == session.columns_log
+        assert columns == session.columns_log
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         steps = [rng.normal(size=(3, 4)) for _ in range(10)]
         outs = []
         for _ in range(2):
-            state = DecoderState.empty(4, 2, 0.1)
+            state = DecoderState.empty(4, 2)
             outs.append([decode_step(state, *s)[0] for s in steps])
         for a, b in zip(*outs):
             np.testing.assert_array_equal(a, b)
@@ -116,7 +118,7 @@ class TestDecodeStep:
 
     def test_cache_is_written_in_place_and_doubles_when_full(self):
         rng = np.random.default_rng(13)
-        state = DecoderState.empty(3, 2, 0.1)
+        state = DecoderState.empty(3, 2)
         for _ in range(40):
             cache, full = state.cache, state.rows == state.cache.shape[1]
             _, state = decode_step(state, *rng.normal(size=(3, 3)))
@@ -126,10 +128,10 @@ class TestDecodeStep:
     def test_empty_rejects_nonpositive_width_or_block(self):
         for d, m in [(2, 0), (0, 2), (-1, 2), (2, -3)]:
             with pytest.raises(InvalidInputError):
-                DecoderState.empty(d, m, 0.1)
+                DecoderState.empty(d, m)
 
     def test_dimension_mismatch_rejected(self):
-        state = DecoderState.empty(4, 2, 0.1)
+        state = DecoderState.empty(4, 2)
         with pytest.raises(InvalidInputError):
             decode_step(state, np.zeros(3), np.zeros(4), np.zeros(4))
 
@@ -141,8 +143,11 @@ class TestLedger:
         _, state = prefill(batch, 4, 0.25)
         for _ in range(20):
             before = state.focal_rows + state.group_rows + state.tail_rows
+            assert ledger(state).per_token_columns == ledger(state).cache_entries == before
+            dots, groups = ledger(state).score_dot_products, state.group_rows
             _, state = decode_step(state, *rng.normal(size=(3, 4)))
-            assert state.trace[-1][4] == before + 1
+            regroup = state.m if state.group_rows > groups else 0
+            assert ledger(state).score_dot_products - dots - regroup == before + 1
 
     def test_decode_columns_strictly_below_vanilla(self):
         rng = np.random.default_rng(9)
@@ -150,8 +155,9 @@ class TestLedger:
             batch = random_batch(rng, 64, 4)
             _, state = prefill(batch, m, 0.1)
             for _ in range(30):
+                columns = ledger(state).per_token_columns + 1
                 _, state = decode_step(state, *rng.normal(size=(3, 4)))
-                assert state.trace[-1][4] < state.total_tokens
+                assert columns < state.total_tokens
 
     def test_cache_decreases_with_block_size(self):
         """Below the turning point m ~ sqrt(L - r), larger blocks mean a
@@ -179,10 +185,10 @@ class TestLedger:
         kinds = set()
         for _ in range(2 * regroup_threshold(m)):
             before, groups = ledger(state).score_dot_products, state.group_rows
+            columns = state.focal_rows + state.group_rows + state.tail_rows + 1
             _, state = decode_step(state, *rng.normal(size=(3, 4)))
             regroup = state.group_rows > groups
             kinds.add(regroup)
-            columns = state.trace[-1][4]
             want = before + columns + (m if regroup else 0)
             assert ledger(state).score_dot_products == want
         assert kinds == {False, True}
@@ -191,9 +197,9 @@ class TestLedger:
         rng = np.random.default_rng(11)
         batch = random_batch(rng, 16, 4)
         _, state = prefill(batch, 2, 0.25)
-        base = ledger(state).score_dot_products
+        base, rows = ledger(state).score_dot_products, ledger(state).cache_entries
         _, state = decode_step(state, *rng.normal(size=(3, 4)))
-        assert ledger(state).score_dot_products == base + state.trace[-1][4]
+        assert ledger(state).score_dot_products == base + rows + 1
 
 
 @st.composite
@@ -206,13 +212,25 @@ def decode_sessions(draw):
     # One rejected input, tried before step `at`: a wrong width or a NaN.
     at = draw(st.integers(0, steps))
     bad = (draw(st.integers(0, 2)), draw(st.sampled_from(["width", "nan"])))
+    # Largest |logit|; exp overflows past 709.78, so 1000 needs the max shift.
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0, 1000.0]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return L, d, m, gamma, steps, at, bad, np.random.default_rng(seed)
+    return L, d, m, gamma, steps, at, bad, reach, np.random.default_rng(seed)
+
+
+def scaled_session(rng, L, d, steps, reach):
+    """Gaussian prompt and (steps, 3, d) step q/k/v rows. The prompt Q is
+    scaled as a whole, and each step's q alone, so that the largest
+    |q.k| / sqrt(d) over the keys seen so far is reach."""
+    q, k, v = rng.normal(size=(3, L + steps, d))
+    q[:L] *= reach / np.abs(q[:L] @ k[:L].T / np.sqrt(d)).max()
+    for i in range(L, L + steps):
+        q[i] *= reach / np.abs(k[: i + 1] @ q[i] / np.sqrt(d)).max()
+    return AttentionBatch(q[:L], k[:L], v[:L]), np.stack([q, k, v], axis=1)[L:]
 
 
 def _snapshot(state):
-    return (state.rows, state.generated, state.decode_dots, len(state.trace),
-            state.cache[:, : state.rows].copy())
+    return (state.rows, state.generated, state.dots, state.cache[:, : state.rows].copy())
 
 
 def _assert_rejected_without_change(state, d, bad, rng):
@@ -226,14 +244,14 @@ def _assert_rejected_without_change(state, d, bad, rng):
     with pytest.raises(InvalidInputError):
         decode_step(state, *qkv)
     after = _snapshot(state)
-    assert after[:4] == before[:4]
-    np.testing.assert_array_equal(after[4], before[4])
+    assert after[:3] == before[:3]
+    np.testing.assert_array_equal(after[3], before[3])
 
 
 @given(decode_sessions())
 def test_decode_session_matches_oracle_and_keeps_its_invariants(case):
-    L, d, m, gamma, steps, at, bad, rng = case
-    batch = random_batch(rng, L, d)
+    L, d, m, gamma, steps, at, bad, reach, rng = case
+    batch, inputs = scaled_session(rng, L, d, steps, reach)
     _, state = prefill(batch, m, gamma)
     session = NaiveDecodeSession.from_prefill(batch, compute_partition(batch, m, gamma))
     for step in range(steps + 1):
@@ -242,10 +260,10 @@ def test_decode_session_matches_oracle_and_keeps_its_invariants(case):
         if step == steps:
             break
         rows_before = state.rows
-        q, k, v = rng.normal(size=(3, d))
+        q, k, v = inputs[step]
         got, state = decode_step(state, q, k, v)
         np.testing.assert_allclose(got, session.step(q, k, v), rtol=0, atol=1e-12)
-        assert state.trace[-1][4] == rows_before + 1
+        assert session.columns_log[-1] == rows_before + 1
         tokens = state.focal_rows + m * state.group_rows + state.tail_rows
         assert tokens == state.total_tokens == L + step + 1
         assert state.tail_rows < regroup_threshold(m)

@@ -220,7 +220,11 @@ class TestGroupedKV:
         batch = AttentionBatch(np.ones((L, d)), k, np.arange(L * d, dtype=float).reshape(L, d))
         part = partition_tokens(np.arange(L, dtype=float)[::-1], 0.4, m)
         kv = build_grouped_kv(batch, part)
-        np.testing.assert_allclose(kv.p_rows, np.full_like(kv.p_rows, 1.0 / m), atol=1e-14)
+        assert kv.shape == (2, part.r + part.k, d)
+        for g, members in enumerate(part.groups):
+            np.testing.assert_allclose(kv[0, part.r + g], k[0], rtol=0, atol=1e-15)
+            want = batch.v[members].mean(axis=0)
+            np.testing.assert_allclose(kv[1, part.r + g], want, rtol=0, atol=1e-13)
 
     def test_unit_groups_copy_member_rows(self):
         rng = np.random.default_rng(9)
@@ -228,8 +232,8 @@ class TestGroupedKV:
         part = compute_partition(batch, 1, 0.3)
         kv = build_grouped_kv(batch, part)
         for g, members in enumerate(part.groups):
-            np.testing.assert_allclose(kv.rows[0, part.r + g], batch.k[members[0]], atol=1e-15)
-            np.testing.assert_allclose(kv.rows[1, part.r + g], batch.v[members[0]], atol=1e-15)
+            np.testing.assert_allclose(kv[0, part.r + g], batch.k[members[0]], atol=1e-15)
+            np.testing.assert_allclose(kv[1, part.r + g], batch.v[members[0]], atol=1e-15)
 
     def test_aggregates_match_loop_oracle(self):
         rng = np.random.default_rng(10)
@@ -245,9 +249,11 @@ class TestGroupedKV:
             p = e / e.sum()
             want_k = sum(p[t] * batch.k[j] for t, j in enumerate(members))
             want_v = sum(p[t] * batch.v[j] for t, j in enumerate(members))
-            np.testing.assert_allclose(kv.rows[0, part.r + g], want_k, atol=1e-12)
-            np.testing.assert_allclose(kv.rows[1, part.r + g], want_v, atol=1e-12)
-            assert kv.p_rows[g].sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(kv[0, part.r + g], want_k, atol=1e-12)
+            np.testing.assert_allclose(kv[1, part.r + g], want_v, atol=1e-12)
+        # Constant values pool to themselves: each block's weights sum to one.
+        ones = build_grouped_kv(AttentionBatch(batch.q, batch.k, np.ones((12, 4))), part)
+        np.testing.assert_allclose(ones[1, part.r :], 1.0, rtol=0, atol=1e-12)
 
     def test_neighbor_spans(self):
         rng = np.random.default_rng(11)

@@ -60,7 +60,8 @@ def grouped_cases(draw, lengths, blocks, gammas=(0.1, 0.5, 1.0)):
     # Few distinct integer scores, so ties decide most of the partition.
     scores = np.array(draw(st.lists(st.integers(0, 3), min_size=L, max_size=L)), float)
     d = draw(st.integers(1, 4))
-    reach = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    # exp overflows past 709.78, so reach 1000 needs the tile's max shift.
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0, 1000.0]))
     batch = scaled_batch(draw(st.integers(0, 2**32 - 1)), L, d, reach)
     return partition_tokens(scores, gamma, m), batch
 
