@@ -34,8 +34,8 @@ class AttentionBatch:
         q = np.asarray(self.q, dtype=np.float64)
         k = np.asarray(self.k, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.float64)
-        if q.ndim != 2:
-            raise InvalidInputError("Q must be 2-D")
+        if q.ndim != 2 or q.shape[1] == 0:
+            raise InvalidInputError("Q must be 2-D with width d >= 1")
         if q.shape[0] == 0:
             raise EmptySequenceError("sequence length is zero")
         if k.shape != q.shape or v.shape != q.shape:

@@ -110,6 +110,8 @@ def _check_at_least(p, **lows) -> None:
 
 def run_sparsity(p) -> int:
     _check_at_least(p, trials=1, d=1)
+    if not any(L > 0 and 1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
+        raise ValueError("no --rho value lies in (1/L, 1] for any --L")
     source = named_source(p.sampler, d=p.d)
     report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
     path = os.path.join(p.out, "sparsity.csv")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBatch
+from .attention import _ROW_BLOCK, AttentionBatch
 from .dga import _attend, _pool, build_grouped_kv, compute_partition
 from .errors import InvalidInputError
 
@@ -45,7 +45,7 @@ class DecoderState:
     cache[1], laid out as build_grouped_kv lays out its rows plus the
     tail: [focal | aggregated blocks | tail]. Rows [0, rows) are live;
     the capacity doubles when a new token finds the buffer full. dots
-    counts prefill's and every decode step's dot products.
+    counts prefill's (scoring included) and every decode step's dot products.
     """
 
     d: int
@@ -85,9 +85,12 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     kv = build_grouped_kv(batch, partition)
     outputs = _attend(batch, partition, kv)
     L, r, k = batch.length, partition.r, partition.k
+    # Exact scoring (none at gamma = 1) computes whole causal tiles; each aggregate pools m.
+    ends = np.minimum(np.arange(_ROW_BLOCK, L + _ROW_BLOCK, _ROW_BLOCK), L)
+    scoring = int(ends @ np.diff(ends, prepend=0)) if gamma < 1.0 else 0
     state = DecoderState(
         batch.width, m, kv, focal_rows=r, group_rows=k, rows=r + k,
-        prefill_tokens=L, dots=L * (r + k + (m if k > 0 else 0)),
+        prefill_tokens=L, dots=L * (r + k + (m if k > 0 else 0)) + k * m + scoring,
     )
     return outputs, state
 
@@ -136,8 +139,8 @@ def decode_step(
 def ledger(state: DecoderState) -> ComplexityLedger:
     """Counts for the current state: next-token column cost equals
     focal + block + tail rows; cache entries likewise; dot products are
-    the state's `dots`: prefill attention plus every decode step's
-    columns and regroup members."""
+    the state's `dots`: prefill scoring, aggregates and attention plus
+    every decode step's columns and regroup members."""
     return ComplexityLedger(
         per_token_columns=state.rows,
         cache_entries=state.rows,

@@ -5,17 +5,18 @@ every query row that sees it (exact) or over a sampled set of rows, split
 tokens into focal and non-focal sets, chunk the non-focal subsequence
 into blocks of m, pool each block's keys/values with the softmax of its
 last-position query (`_pool`, which decoding shares), and attend over
-the compact layout
 
-    [focal tokens | aggregated blocks | complement members]
+    [focal tokens | aggregated blocks | complement tokens]
 
-One predicate, `_visible`, decides which of these r + k + m columns a
-query sees. The complement columns expose the raw members of the one
-block that straddles the query, so queries inside a partially visible
-block neither leak future tokens nor lose past ones. Attention applies
-it to tiles of query rows, within the focal and aggregate prefixes the
-tile can see; `build_group_mask` renders it over all columns as the
-dense L x (r + k + m) mask that `dga-check` and the oracle tests compare.
+One token-level predicate, `_visible`, decides which columns a query
+sees. The complement exposes the raw members, up to the query, of the
+block that straddles it, so queries inside a partially visible block
+neither leak future tokens nor lose past ones. Attention runs in tiles of
+64 query rows; a tile's complement is one window of raw tokens holding
+every straddled block's members, and only columns past its first row are
+masked. `build_group_mask` renders the predicate as the dense
+L x (r + k + m) mask, each row's m block members as its complement, that
+`dga-check` and the oracle tests compare.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 from .attention import _ROW_BLOCK, AttentionBatch, _causal_tile
 from .errors import InvalidInputError, InvalidSpecError
 from .rng import RngStream
+
+_TILE_ROWS = 64  # query rows per grouped-attend tile
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ class TokenPartition:
 
     groups is the (k, m) int64 array of block members, ascending along
     both axes; neighbor[i] is the block that straddles token i (first
-    member <= i < last member), or -1.
+    member <= i < last member), or -1. block_of[j] is token j's block, or
+    -2, which matches no neighbor, for focal j and slot L (index -1).
     """
 
     L: int
@@ -75,6 +79,7 @@ class TokenPartition:
     focal: np.ndarray
     groups: np.ndarray
     neighbor: np.ndarray
+    block_of: np.ndarray
 
     @property
     def r(self) -> int:
@@ -143,7 +148,9 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     g = np.searchsorted(groups[:, -1], tokens, side="right")
     first = np.append(groups[:, 0], L)
     neighbor = np.where(first[g] <= tokens, g, -1)
-    return TokenPartition(L, m, float(gamma), focal, groups, neighbor)
+    block_of = np.full(L + 1, -2)
+    block_of[groups] = np.arange(groups.shape[0])[:, None]
+    return TokenPartition(L, m, float(gamma), focal, groups, neighbor, block_of)
 
 
 def _pool(keys: np.ndarray, q: np.ndarray, *values: np.ndarray) -> list:
@@ -172,63 +179,61 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     return rows
 
 
-def _padded_groups(partition: TokenPartition) -> np.ndarray:
-    """groups plus a row of -1s: padded[neighbor] is each token's straddling block."""
-    return np.vstack([partition.groups, np.full((1, partition.m), -1)])
+def _visible(partition: TokenPartition, rows: np.ndarray, focal: np.ndarray,
+             ends: np.ndarray, tokens: np.ndarray) -> tuple:
+    """Which of the given focal tokens, block ends and complement tokens each row sees.
 
-
-def _visible(
-    partition: TokenPartition, rows: np.ndarray, a: int, b: int, members: np.ndarray
-) -> np.ndarray:
-    """Which of the focal[:a], aggregate[:b] and m complement columns each row sees.
-
-    A focal token once it is past, a block's aggregate once the whole
-    block is past, and the members up to the query of the block that
-    straddles it (members, from `_padded_groups`). Every past token is
+    A focal token once it is past, a block's aggregate once its last member
+    is past, and a complement token once it is past if it is a member of
+    the block that straddles the row. tokens is one vector shared by all
+    rows or one row of tokens per query; index -1 pads. Every past token is
     reachable through exactly one column, and no future token through any.
     """
     i = rows[:, None]
-    return np.concatenate(
-        [
-            partition.focal[:a] <= i,
-            partition.groups[:b, -1] <= i,
-            (members >= 0) & (members <= i),
-        ],
-        axis=1,
-    )
+    member = partition.block_of[tokens] == partition.neighbor[i]
+    return focal <= i, ends <= i, member & (tokens <= i)
 
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
-    """L x (r + k + m) 0/1 rendering of the visibility predicate."""
-    members = _padded_groups(partition)[partition.neighbor]
+    """L x (r + k + m) 0/1 rendering of the visibility predicate; its m
+    complement columns are the members of each row's straddling block."""
+    # A row with no straddling block reads the padding row of -1s.
+    members = np.vstack([partition.groups, np.full((1, partition.m), -1)])[partition.neighbor]
     rows = np.arange(partition.L)
-    return _visible(partition, rows, partition.r, partition.k, members).astype(np.float64)
+    parts = _visible(partition, rows, partition.focal, partition.groups[:, -1], members)
+    return np.concatenate(parts, axis=1).astype(np.float64)
 
 
 def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) -> np.ndarray:
     """dga_attention_with_partition over the rows build_grouped_kv returned."""
     keys, values = kv
     r, scale = partition.r, 1.0 / np.sqrt(batch.width)
+    focal, ends = partition.focal, partition.groups[:, -1]
     out = np.empty_like(batch.q)
-    padded = _padded_groups(partition)
-    for start in range(0, partition.L, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, partition.L))
-        # Focal tokens and block ends are sorted, so a tile sees prefixes of each.
-        a = np.searchsorted(partition.focal, rows[-1], "right")
-        b = np.searchsorted(partition.groups[:, -1], rows[-1], "right")
-        q = batch.q[rows] * scale
-        # Rows with no straddling block gather token -1; _visible hides it.
-        members = padded[partition.neighbor[rows]]
-        e = np.concatenate(
-            [q @ keys[:a].T, q @ keys[r : r + b].T, np.einsum("bd,bmd->bm", q, batch.k[members])],
-            axis=1,
-        )
-        e[~_visible(partition, rows, a, b, members)] = -np.inf
+    for start in range(0, partition.L, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, partition.L)
+        # Focal tokens and block ends are sorted, so the tile sees prefixes
+        # [:a] and [:b] of them, and every row sees [:a0] and [:b0].
+        a0, a = np.searchsorted(focal, [start, stop - 1], "right")
+        b0, b = np.searchsorted(ends, [start, stop - 1], "right")
+        # Blocks chunk the non-focal tokens in order, so every straddled
+        # block's members lie in one window [lo, stop) of raw tokens.
+        g = partition.neighbor[start]
+        lo = partition.groups[g, 0] if g >= 0 else start
+        q = batch.q[start:stop] * scale
+        e = np.empty((stop - start, a + b + stop - lo))
+        np.matmul(q, keys[:a].T, out=e[:, :a])
+        np.matmul(q, keys[r : r + b].T, out=e[:, a : a + b])
+        np.matmul(q, batch.k[lo:stop].T, out=e[:, a + b :])
+        seen = _visible(partition, np.arange(start, stop), focal[a0:a], ends[b0:b],
+                        np.arange(lo, stop))
+        for cols, vis in zip((e[:, a0:a], e[:, a + b0 : a + b], e[:, a + b :]), seen):
+            np.copyto(cols, -np.inf, where=~vis)
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
-        o += np.einsum("bm,bmd->bd", e[:, a + b :], batch.v[members])
-        out[rows] = o / e.sum(axis=1, keepdims=True)
+        o += e[:, a + b :] @ batch.v[lo:stop]
+        out[start:stop] = o / e.sum(axis=1, keepdims=True)
     return out
 
 
@@ -237,10 +242,11 @@ def dga_attention_with_partition(
 ) -> np.ndarray:
     """Grouped attention output for a fixed, precomputed partition.
 
-    Query rows go through in tiles of _ROW_BLOCK. A tile computes logits
+    Query rows go through in tiles of _TILE_ROWS. A tile computes logits
     only for the focal and aggregate prefixes its last row can see and
-    for the m complement members; _visible hides the rest at -inf. The
-    output, not the weights, is divided by the row sums.
+    for the window of raw tokens that holds its straddled blocks' members;
+    _visible hides the rest at -inf. The output, not the weights, is
+    divided by the row sums.
     """
     return _attend(batch, partition, build_grouped_kv(batch, partition))
 
@@ -252,9 +258,11 @@ def compute_partition(
     spec: SampleSpec | None = None,
     rng: RngStream | None = None,
 ) -> TokenPartition:
-    """Score tokens over every query row, or the spec's sampled rows, and partition."""
+    """Score tokens over every query row, or the spec's sampled rows, and
+    partition. Exact scoring is skipped at gamma = 1: every token is focal."""
     if spec is None:
-        return partition_tokens(importance_scores_exact(batch), gamma, m)
+        scores = importance_scores_exact(batch) if gamma < 1.0 else np.zeros(batch.length)
+        return partition_tokens(scores, gamma, m)
     return partition_tokens(approx_importance_scores(batch, spec, rng), gamma, m)
 
 

@@ -1,5 +1,7 @@
 """Reference causal attention against a double-loop oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ class TestCausalAttention:
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
             AttentionBatch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_zero_width_rejected_without_a_warning(self):
+        """Width 0 used to reach a division by sqrt(0) in every attention path."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                AttentionBatch(np.zeros((4, 0)), np.zeros((4, 0)), np.zeros((4, 0)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):

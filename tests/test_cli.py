@@ -241,6 +241,15 @@ class TestSubcommands:
         assert not out.exists()
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", ["0", "1.5", "-0.1"])
+    def test_sparsity_rejects_a_grid_with_no_cell(self, tmp_path, capsys, rho):
+        """No rho in (1/L, 1] for any L left only a header to write."""
+        out = tmp_path / "out"
+        assert run(["sparsity", "--L", "32,64", "--rho", rho, "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "no --rho value" in capsys.readouterr().err
+
     def test_zero_width_is_rejected(self, tmp_path, capsys):
         """A width of 0 crashed the attention sampler and made decode-bench
         divide by sqrt(0) yet exit 0."""

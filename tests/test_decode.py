@@ -60,7 +60,10 @@ class TestPrefill:
         assert state.focal_rows == part.r
         assert state.group_rows == part.k
         assert state.tail_rows == 0
-        assert state.dots == ledger(state).score_dot_products == L * (part.r + part.k + m)
+        # Exact scoring is one 40 x 40 causal tile, masked half included;
+        # each aggregate pools m members; each row attends r + k + m columns.
+        dots = L * L + part.k * m + L * (part.r + part.k + m)
+        assert state.dots == ledger(state).score_dot_products == dots
         np.testing.assert_allclose(outputs, dga_attention(batch, m, gamma), atol=1e-14)
 
 

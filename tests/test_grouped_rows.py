@@ -3,7 +3,7 @@ against brute force on small edge inputs, and the sampled-score pipeline
 against the oracle."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch, causal_attention
@@ -26,17 +26,17 @@ def random_batch(rng, L, d):
 
 
 def test_rows_across_block_boundaries_match_oracle_and_stay_causal():
-    """L=300 spans two full blocks of 128 query rows and a partial third."""
+    """L=300 spans four full tiles of 64 query rows and a partial fifth."""
     rng = np.random.default_rng(23)
     L, d = 300, 8
     batch = random_batch(rng, L, d)
     part = compute_partition(batch, 4, 0.1)
-    # Some block straddles a row-block boundary, so its complement columns
-    # are split between two attend steps.
+    # Some block straddles a tile boundary, so the later tile's token
+    # window starts before its first row.
     assert (part.neighbor[[127, 255]] >= 0).any()
     base = dga_attention_with_partition(batch, part)
     np.testing.assert_allclose(base, naive_dga_attention(batch, part), atol=1e-12)
-    for j in (126, 127, 128, 129, 254, 255, 256, 257, L - 1):
+    for j in (63, 64, 126, 127, 128, 129, 191, 192, 254, 255, 256, 257, L - 1):
         for field in range(3):
             arrays = [batch.q.copy(), batch.k.copy(), batch.v.copy()]
             arrays[field][j] += 25.0
@@ -85,8 +85,11 @@ def test_partition_layout_matches_brute_force(case):
     np.testing.assert_array_equal(part.neighbor, want)
 
 
-# Lengths across one or two 128-row tile boundaries.
-TILE_LENGTHS = st.one_of(st.sampled_from([127, 128, 129, 256, 257]), st.integers(120, 300))
+# Lengths at and across the grouped attend's 64-row tile boundaries, which
+# also reach across one or two of exact attention's 128-row tiles.
+TILE_LENGTHS = st.one_of(
+    st.sampled_from([63, 64, 65, 127, 128, 129, 256, 257]), st.integers(120, 300)
+)
 
 
 # The naive oracle takes about 0.8 s at L=260, so few examples, and only
@@ -95,6 +98,32 @@ TILE_LENGTHS = st.one_of(st.sampled_from([127, 128, 129, 256, 257]), st.integers
 @settings(max_examples=10)
 @given(grouped_cases(TILE_LENGTHS, st.integers(2, 17), gammas=(0.1, 0.5)))
 def test_multi_tile_layout_matches_oracles(case):
+    check_against_oracles(*case)
+
+
+@st.composite
+def straddled_tile_cases(draw):
+    """Partitions in which a block straddles some 64-row tile's first row
+    from an earlier member, so the tile's token window starts before it.
+    gamma 0.5-0.9 with m <= 4 spreads each block over many focal tokens."""
+    L = draw(st.integers(65, 200))
+    m, gamma = draw(st.one_of(
+        st.tuples(st.integers(2, 17), st.sampled_from([1.0 / L, 0.1, 0.3])),
+        st.tuples(st.integers(2, 4), st.floats(0.5, 0.9)),
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # Distinct scores scatter the non-focal tokens over the whole sequence.
+    part = partition_tokens(np.random.default_rng(seed).permutation(L), gamma, m)
+    starts = np.arange(64, L, 64)
+    g = part.neighbor[starts]
+    assume(((g >= 0) & (part.groups[g, 0] < starts)).any())
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0, 1000.0]))
+    return part, scaled_batch(seed, L, draw(st.integers(1, 4)), reach)
+
+
+@settings(max_examples=10)
+@given(straddled_tile_cases())
+def test_blocks_straddling_a_tile_start_match_oracles(case):
     check_against_oracles(*case)
 
 
