@@ -1,14 +1,17 @@
-"""Exact causal self-attention.
+"""Exact causal self-attention, and the tile kernel every O(L^2) path shares.
 
 This is the correctness oracle for the grouped pipeline and the weight
-source for sparsity studies. Future positions get a logit of -inf, never
-a large finite sentinel, so their weight is exactly zero and future
-tokens have no influence.
+source for sparsity studies. Hidden positions get a logit of -inf, never
+a large finite sentinel, so their weight is exactly zero.
 
-`causal_attention` and the importance scorer in `dga` share one kernel,
-`_causal_tile`: 128 sorted query rows, logits only up to the last row's
-position, -inf only on the diagonal band. The weight matrix starts as
-zeros, and nothing above its diagonal is ever written.
+One rule, `_visible`, decides what a query sees: column c is visible to
+row i iff since[c] <= i < until[c]; a key of exact attention is
+[its position, L). `_tile` lays sorted query rows' logits over several
+key blocks side by side, hides only its trailing band by that rule and
+exponentiates after a max shift. `causal_attention` runs it on 128-row
+tiles over K[:last row + 1], so the weight matrix starts as zeros and
+nothing above its diagonal is ever written; `dga` scores and attends
+through it.
 """
 
 from __future__ import annotations
@@ -56,17 +59,31 @@ class AttentionBatch:
         return self.q.shape[1]
 
 
-def _causal_tile(batch: AttentionBatch, rows: np.ndarray, out=None) -> tuple:
-    """(e, row sums), e = exp(logit - row max) of sorted query rows over
-    K[:rows[-1] + 1], zero past each row, written into out if given. Every
-    row sees the columns up to rows[0], so only the band after it is masked."""
-    end = rows[-1] + 1
-    e = np.matmul(batch.q[rows], batch.k[:end].T, out=out)
-    e *= 1.0 / np.sqrt(batch.width)
-    e[:, rows[0] + 1 :][np.arange(rows[0] + 1, end) > rows[:, None]] = -np.inf
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    return e, e.sum(axis=1)
+def _visible(rows: np.ndarray, since, until) -> np.ndarray:
+    """Row i sees column c iff since[c] <= i < until[c]. since and until
+    are one vector shared by every row, one row per query, or a scalar."""
+    i = rows[:, None]
+    return (since <= i) & (i < until)
+
+
+def _tile(batch: AttentionBatch, rows: np.ndarray, blocks, since: np.ndarray,
+          until, out=None) -> tuple:
+    """(e, row sums), e = exp(logit - row max) of sorted query rows over the
+    key blocks laid side by side, written into out if given. Only the
+    trailing since.size columns can be hidden, by _visible; every row sees
+    the columns before them."""
+    q = batch.q[rows]
+    if out is None:
+        out = np.empty((rows.size, sum(len(block) for block in blocks)))
+    col = 0
+    for block in blocks:
+        np.matmul(q, block.T, out=out[:, col : col + len(block)])
+        col += len(block)
+    out *= 1.0 / np.sqrt(batch.width)
+    np.copyto(out[:, col - since.size :], -np.inf, where=~_visible(rows, since, until))
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    return out, out.sum(axis=1)
 
 
 def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +98,8 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
     out, weights = np.empty_like(batch.q), np.zeros((L, L))
     for start in range(0, L, _ROW_BLOCK):
         end = min(start + _ROW_BLOCK, L)
-        tile, sums = _causal_tile(batch, np.arange(start, end), out=weights[start:end, :end])
+        rows = np.arange(start, end)
+        tile, sums = _tile(batch, rows, [batch.k[:end]], rows[1:], end, out=weights[start:end, :end])
         tile /= sums[:, None]
         out[start:end] = tile @ batch.v[:end]
     return out, weights

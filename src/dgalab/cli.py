@@ -102,15 +102,16 @@ def _prepare(args) -> argparse.Namespace:
 
 
 def _check_at_least(p, **lows) -> None:
-    """Reject a count flag below its minimum before any file is written."""
+    """Reject a count flag, or any value of a list flag, below its minimum
+    before any file is written."""
     for flag, low in lows.items():
-        if getattr(p, flag) < low:
+        if np.min(getattr(p, flag), initial=low) < low:
             raise ValueError(f"--{flag} must be at least {low}, got {getattr(p, flag)}")
 
 
 def run_sparsity(p) -> int:
-    _check_at_least(p, trials=1, d=1)
-    if not any(L > 0 and 1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
+    _check_at_least(p, L=1, trials=1, d=1)
+    if not any(1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
         raise ValueError("no --rho value lies in (1/L, 1] for any --L")
     source = named_source(p.sampler, d=p.d)
     report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)

@@ -8,15 +8,15 @@ last-position query (`_pool`, which decoding shares), and attend over
 
     [focal tokens | aggregated blocks | complement tokens]
 
-One token-level predicate, `_visible`, decides which columns a query
-sees. The complement exposes the raw members, up to the query, of the
-block that straddles it, so queries inside a partially visible block
-neither leak future tokens nor lose past ones. Attention runs in tiles of
-64 query rows; a tile's complement is one window of raw tokens holding
-every straddled block's members, and only columns past its first row are
-masked. `build_group_mask` renders the predicate as the dense
-L x (r + k + m) mask, each row's m block members as its complement, that
-`dga-check` and the oracle tests compare.
+Every column obeys the rule of `attention._visible`: row i sees column
+c iff since[c] <= i < until[c]. A focal token j is [j, L), an aggregate
+is [last member, L) and a raw member j is [j, last member), so a query
+inside a block sees the members up to itself, and the aggregate once the
+block is past: no future token leaks, no past token is lost or counted
+twice. Attention runs `attention._tile` over tiles of 64 query rows; the
+raw members of every block a tile straddles lie in one token window.
+`build_group_mask` renders the rule as the dense L x (r + k + m) mask
+that `dga-check` and the oracle tests compare.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROW_BLOCK, AttentionBatch, _causal_tile
+from .attention import _ROW_BLOCK, AttentionBatch, _tile, _visible
 from .errors import InvalidInputError, InvalidSpecError
 from .rng import RngStream
 
@@ -68,9 +68,9 @@ class TokenPartition:
     """Focal indices plus contiguous blocks over the non-focal subsequence.
 
     groups is the (k, m) int64 array of block members, ascending along
-    both axes; neighbor[i] is the block that straddles token i (first
-    member <= i < last member), or -1. block_of[j] is token j's block, or
-    -2, which matches no neighbor, for focal j and slot L (index -1).
+    both axes. until has L + 1 entries: the last member of token j's block
+    for a grouped j, and L for a focal j and for padding slot L. Raw token
+    j is visible to row i iff j <= i < until[j].
     """
 
     L: int
@@ -78,8 +78,7 @@ class TokenPartition:
     gamma: float
     focal: np.ndarray
     groups: np.ndarray
-    neighbor: np.ndarray
-    block_of: np.ndarray
+    until: np.ndarray
 
     @property
     def r(self) -> int:
@@ -110,7 +109,9 @@ def approx_importance_scores(
     positions = spec.positions(L, rng)
     col_sum = np.zeros(L)
     for start in range(0, positions.size, _ROW_BLOCK):
-        e, sums = _causal_tile(batch, positions[start : start + _ROW_BLOCK])
+        rows = positions[start : start + _ROW_BLOCK]
+        end = rows[-1] + 1
+        e, sums = _tile(batch, rows, [batch.k[:end]], np.arange(rows[0] + 1, end), end)
         col_sum[: e.shape[1]] += (1.0 / sums) @ e
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
@@ -142,15 +143,9 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     focal = np.sort(by_score[:r])
     non_focal = np.setdiff1d(np.arange(L, dtype=np.int64), focal, assume_unique=True)
     groups = non_focal.reshape(-1, m)
-    # The only block that can straddle i is the first one ending after i;
-    # the appended L stands for "no such block" and never starts <= i.
-    tokens = np.arange(L)
-    g = np.searchsorted(groups[:, -1], tokens, side="right")
-    first = np.append(groups[:, 0], L)
-    neighbor = np.where(first[g] <= tokens, g, -1)
-    block_of = np.full(L + 1, -2)
-    block_of[groups] = np.arange(groups.shape[0])[:, None]
-    return TokenPartition(L, m, float(gamma), focal, groups, neighbor, block_of)
+    until = np.full(L + 1, L)
+    until[groups] = groups[:, -1:]
+    return TokenPartition(L, m, float(gamma), focal, groups, until)
 
 
 def _pool(keys: np.ndarray, q: np.ndarray, *values: np.ndarray) -> list:
@@ -179,61 +174,41 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     return rows
 
 
-def _visible(partition: TokenPartition, rows: np.ndarray, focal: np.ndarray,
-             ends: np.ndarray, tokens: np.ndarray) -> tuple:
-    """Which of the given focal tokens, block ends and complement tokens each row sees.
-
-    A focal token once it is past, a block's aggregate once its last member
-    is past, and a complement token once it is past if it is a member of
-    the block that straddles the row. tokens is one vector shared by all
-    rows or one row of tokens per query; index -1 pads. Every past token is
-    reachable through exactly one column, and no future token through any.
-    """
-    i = rows[:, None]
-    member = partition.block_of[tokens] == partition.neighbor[i]
-    return focal <= i, ends <= i, member & (tokens <= i)
-
-
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
-    """L x (r + k + m) 0/1 rendering of the visibility predicate; its m
-    complement columns are the members of each row's straddling block."""
-    # A row with no straddling block reads the padding row of -1s.
-    members = np.vstack([partition.groups, np.full((1, partition.m), -1)])[partition.neighbor]
-    rows = np.arange(partition.L)
-    parts = _visible(partition, rows, partition.focal, partition.groups[:, -1], members)
-    return np.concatenate(parts, axis=1).astype(np.float64)
+    """L x (r + k + m) 0/1 rendering of the visibility rule. Row i's m
+    complement columns are the members of the first block ending after i,
+    the only block that can straddle it, or slot L when there is none."""
+    L, ends = partition.L, partition.groups[:, -1]
+    rows = np.arange(L)
+    members = np.vstack([partition.groups, np.full((1, partition.m), L)])
+    members = members[np.searchsorted(ends, rows, side="right")]
+    summary = _visible(rows, np.concatenate([partition.focal, ends]), L)
+    complement = _visible(rows, members, partition.until[members])
+    return np.hstack([summary, complement]).astype(np.float64)
 
 
 def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) -> np.ndarray:
     """dga_attention_with_partition over the rows build_grouped_kv returned."""
     keys, values = kv
-    r, scale = partition.r, 1.0 / np.sqrt(batch.width)
+    r, L = partition.r, partition.L
     focal, ends = partition.focal, partition.groups[:, -1]
     out = np.empty_like(batch.q)
-    for start in range(0, partition.L, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, partition.L)
-        # Focal tokens and block ends are sorted, so the tile sees prefixes
-        # [:a] and [:b] of them, and every row sees [:a0] and [:b0].
-        a0, a = np.searchsorted(focal, [start, stop - 1], "right")
-        b0, b = np.searchsorted(ends, [start, stop - 1], "right")
-        # Blocks chunk the non-focal tokens in order, so every straddled
-        # block's members lie in one window [lo, stop) of raw tokens.
-        g = partition.neighbor[start]
-        lo = partition.groups[g, 0] if g >= 0 else start
-        q = batch.q[start:stop] * scale
-        e = np.empty((stop - start, a + b + stop - lo))
-        np.matmul(q, keys[:a].T, out=e[:, :a])
-        np.matmul(q, keys[r : r + b].T, out=e[:, a : a + b])
-        np.matmul(q, batch.k[lo:stop].T, out=e[:, a + b :])
-        seen = _visible(partition, np.arange(start, stop), focal[a0:a], ends[b0:b],
-                        np.arange(lo, stop))
-        for cols, vis in zip((e[:, a0:a], e[:, a + b0 : a + b], e[:, a + b :]), seen):
-            np.copyto(cols, -np.inf, where=~vis)
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
+    for start in range(0, L, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, L)
+        # Blocks chunk the non-focal tokens in order, so the members of
+        # every block straddling a tile row lie in one window [lo, stop).
+        # Every row sees aggregates [:b0] and the focal tokens before lo;
+        # the window serves the focal tokens from lo on.
+        b0, b = np.searchsorted(ends, [start, stop - 1], side="right")
+        lo = min(start, partition.groups[b0, 0]) if b0 < partition.k else start
+        a = np.searchsorted(focal, lo)
+        since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
+        until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
+        e, sums = _tile(batch, np.arange(start, stop),
+                        [keys[:a], keys[r : r + b], batch.k[lo:stop]], since, until)
         o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
         o += e[:, a + b :] @ batch.v[lo:stop]
-        out[start:stop] = o / e.sum(axis=1, keepdims=True)
+        out[start:stop] = o / sums[:, None]
     return out
 
 
@@ -243,10 +218,10 @@ def dga_attention_with_partition(
     """Grouped attention output for a fixed, precomputed partition.
 
     Query rows go through in tiles of _TILE_ROWS. A tile computes logits
-    only for the focal and aggregate prefixes its last row can see and
-    for the window of raw tokens that holds its straddled blocks' members;
-    _visible hides the rest at -inf. The output, not the weights, is
-    divided by the row sums.
+    only for the focal tokens before its window, the aggregates its last
+    row can see, and the window of raw tokens that holds its straddled
+    blocks' members; _tile hides the rest at -inf. The output, not the
+    weights, is divided by the row sums.
     """
     return _attend(batch, partition, build_grouped_kv(batch, partition))
 

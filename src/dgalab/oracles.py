@@ -68,10 +68,10 @@ def mask_by_reachability(partition: TokenPartition) -> np.ndarray:
 
     mask = np.zeros((L, r + k + m))
     for i in range(L):
-        neighbor = None
+        straddled = None
         for g, members in enumerate(partition.groups):
             if members[0] <= i <= members[-1]:
-                neighbor = g
+                straddled = g
         for j in range(L):
             routes = []
             if j in focal_col:
@@ -81,7 +81,7 @@ def mask_by_reachability(partition: TokenPartition) -> np.ndarray:
                 g = token_group[j]
                 if i >= partition.groups[g][-1]:
                     routes.append(r + g)
-                elif g == neighbor and j <= i:
+                elif g == straddled and j <= i:
                     routes.append(r + k + token_slot[j])
             if j <= i:
                 assert len(routes) == 1, (

@@ -52,9 +52,6 @@ class RngStream:
             return np.zeros(size, dtype=np.float64)
         return scale * self.generator().standard_normal(size)
 
-    def uniform(self, size) -> np.ndarray:
-        return self.generator().random(size)
-
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), sorted ascending."""
         picked = self.generator().choice(n, size=k, replace=False)

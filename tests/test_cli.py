@@ -241,6 +241,15 @@ class TestSubcommands:
         assert not out.exists()
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lengths", ["0,32", "-4,32"])
+    def test_sparsity_rejects_a_length_below_one(self, tmp_path, capsys, lengths):
+        """L = 0 and L = -4 used to fail inside numpy, not naming --L."""
+        out = tmp_path / "out"
+        assert run(["sparsity", f"--L={lengths}", "--rho", "0.1", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert not (out / "sparsity.csv").exists()
+        assert "--L" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rho", ["0", "1.5", "-0.1"])
     def test_sparsity_rejects_a_grid_with_no_cell(self, tmp_path, capsys, rho):
         """No rho in (1/L, 1] for any L left only a header to write."""

@@ -255,13 +255,16 @@ class TestGroupedKV:
         ones = build_grouped_kv(AttentionBatch(batch.q, batch.k, np.ones((12, 4))), part)
         np.testing.assert_allclose(ones[1, part.r :], 1.0, rtol=0, atol=1e-12)
 
-    def test_neighbor_spans(self):
+    def test_until_spans(self):
+        """A grouped token's until is its block's last member; a focal
+        token's, and padding slot L's, is L."""
         rng = np.random.default_rng(11)
         batch = random_batch(rng, 14, 3)
         part = compute_partition(batch, 3, 0.2)
-        for i in range(part.L):
-            spans = [g for g, mem in enumerate(part.groups) if mem[0] <= i < mem[-1]]
-            assert part.neighbor[i] == (spans[0] if spans else -1)
+        assert part.until.shape == (part.L + 1,)
+        for j in range(part.L + 1):
+            ends = [mem[-1] for mem in part.groups if j in mem]
+            assert part.until[j] == (ends[0] if ends else part.L)
 
 
 class TestGroupMask:

@@ -33,7 +33,8 @@ def test_rows_across_block_boundaries_match_oracle_and_stay_causal():
     part = compute_partition(batch, 4, 0.1)
     # Some block straddles a tile boundary, so the later tile's token
     # window starts before its first row.
-    assert (part.neighbor[[127, 255]] >= 0).any()
+    first, last = part.groups[:, :1], part.groups[:, -1:]
+    assert ((first < [128, 256]) & ([128, 256] <= last)).any()
     base = dga_attention_with_partition(batch, part)
     np.testing.assert_allclose(base, naive_dga_attention(batch, part), atol=1e-12)
     for j in (63, 64, 126, 127, 128, 129, 191, 192, 254, 255, 256, 257, L - 1):
@@ -77,12 +78,11 @@ def check_against_oracles(part, batch):
 def test_partition_layout_matches_brute_force(case):
     part, batch = case
     check_against_oracles(part, batch)
-    want = np.full(part.L, -1)
-    for g, members in enumerate(part.groups):
-        for i in range(part.L):
-            if members[0] <= i < members[-1]:
-                want[i] = g
-    np.testing.assert_array_equal(part.neighbor, want)
+    want = np.full(part.L + 1, part.L)
+    for members in part.groups:
+        for j in members:
+            want[j] = members[-1]
+    np.testing.assert_array_equal(part.until, want)
 
 
 # Lengths at and across the grouped attend's 64-row tile boundaries, which
@@ -115,8 +115,7 @@ def straddled_tile_cases(draw):
     # Distinct scores scatter the non-focal tokens over the whole sequence.
     part = partition_tokens(np.random.default_rng(seed).permutation(L), gamma, m)
     starts = np.arange(64, L, 64)
-    g = part.neighbor[starts]
-    assume(((g >= 0) & (part.groups[g, 0] < starts)).any())
+    assume(((part.groups[:, :1] < starts) & (starts < part.groups[:, -1:])).any())
     reach = draw(st.sampled_from([1.0, 30.0, 700.0, 1000.0]))
     return part, scaled_batch(seed, L, draw(st.integers(1, 4)), reach)
 

@@ -33,8 +33,8 @@ class TestChildren:
         assert all(base.child(i).stream_id != base.stream_id for i in range(100))
 
     def test_child_is_reproducible(self):
-        a = RngStream(8).child(5).uniform(10)
-        b = RngStream(8).child(5).uniform(10)
+        a = RngStream(8).child(5).normal(10)
+        b = RngStream(8).child(5).normal(10)
         np.testing.assert_array_equal(a, b)
 
     def test_child_streams_look_independent(self):
