@@ -114,15 +114,16 @@ def run_sparsity(p) -> int:
     if not any(1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
         raise ValueError("no --rho value lies in (1/L, 1] for any --L")
     source = named_source(p.sampler, d=p.d)
-    report = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
+    cells = sparsity_profile(source, p.L, p.rho, p.trials, p.rng)
     path = os.path.join(p.out, "sparsity.csv")
-    write_csv(path, report.HEADER, report.rows())
-    print(f"wrote {path} ({len(report.entries)} cells, sampler={source.name})")
+    write_csv(path, ["L", "rho", "empirical_p", "bound_p", "samples"],
+              [(L, rho, emp, bound, p.trials) for (L, rho), (emp, bound) in sorted(cells.items())])
+    print(f"wrote {path} ({len(cells)} cells, sampler={source.name})")
     return 0
 
 
 def run_coding(p) -> int:
-    _check_at_least(p, instances=1, iters=1)
+    _check_at_least(p, L=1, d=1, instances=1, iters=1)
     L, d = p.L, p.d
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -157,7 +158,7 @@ def run_coding(p) -> int:
 
 
 def run_noise(p) -> int:
-    _check_at_least(p, trials=2)
+    _check_at_least(p, L=1, d=1, trials=2)
     L, trials = p.L, p.trials
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output

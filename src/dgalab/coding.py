@@ -73,32 +73,34 @@ def build_grouping_matrix(L: int, m: int) -> np.ndarray:
     return np.repeat(np.eye(GroupStructure(L, m).k), m, axis=1) / m
 
 
+def _basis(inst: CodingInstance, groups: GroupStructure | None) -> np.ndarray:
+    """V, or its block averages M V when grouped."""
+    if groups is None:
+        return inst.v
+    if groups.L != inst.length:
+        raise InvalidInputError("group structure length mismatch")
+    return build_grouping_matrix(groups.L, groups.m) @ inst.v
+
+
 def hessians(inst: CodingInstance, groups: GroupStructure) -> tuple[np.ndarray, np.ndarray]:
     """Objective Hessians with respect to the simplex variables.
 
     H = 2 Gram(V rows) is L x L; H_bar = 2 Gram(rows of M V) is k x k,
     where M is the block-averaging matrix. Both are symmetric PSD.
     """
-    if groups.L != inst.length:
-        raise InvalidInputError("group structure length mismatch")
-    h = 2.0 * (inst.v @ inst.v.T)
-    v_bar = build_grouping_matrix(groups.L, groups.m) @ inst.v
-    h_bar = 2.0 * (v_bar @ v_bar.T)
-    return h, h_bar
+    v_bar = _basis(inst, groups)
+    return 2.0 * (inst.v @ inst.v.T), 2.0 * (v_bar @ v_bar.T)
 
 
-def verify_condition_numbers(
-    inst: CodingInstance, m: int, cutoff: float = 1e-10
-) -> tuple[float, float, bool]:
+def verify_condition_numbers(inst: CodingInstance, m: int) -> tuple[float, float, bool]:
     """Condition numbers of the grouped and ungrouped Hessians.
 
     holds is True when grouping did not worsen the conditioning,
     kappa(H_bar) <= kappa(H) up to 1e-9 relative slack.
     """
-    groups = GroupStructure(inst.length, m)
-    h, h_bar = hessians(inst, groups)
-    kappa_h = condition_number(sym_eigenvalues(h), cutoff)
-    kappa_h_bar = condition_number(sym_eigenvalues(h_bar), cutoff)
+    h, h_bar = hessians(inst, GroupStructure(inst.length, m))
+    kappa_h = condition_number(sym_eigenvalues(h))
+    kappa_h_bar = condition_number(sym_eigenvalues(h_bar))
     return kappa_h, kappa_h_bar, kappa_h_bar <= kappa_h * (1.0 + 1e-9)
 
 
@@ -109,10 +111,10 @@ class SolveTrace:
     iterates: list
     final_alpha: np.ndarray
 
-    def iterations_to_gap(self, rel_gap: float = 1e-6) -> int:
-        """First iteration whose objective is within rel_gap of the best."""
+    def iterations_to_gap(self) -> int:
+        """First iteration whose objective is within 1e-6 (relative) of the best."""
         best = min(obj for _, obj in self.iterates)
-        floor = best + rel_gap * max(1.0, abs(best))
+        floor = best + 1e-6 * max(1.0, abs(best))
         for it, obj in self.iterates:
             if obj <= floor:
                 return it
@@ -135,15 +137,9 @@ def solve_coding(
     """
     if iters < 1:
         raise InvalidInputError("iters must be at least 1")
-    if groups is None:
-        basis = inst.v
-    else:
-        if groups.L != inst.length:
-            raise InvalidInputError("group structure length mismatch")
-        basis = build_grouping_matrix(groups.L, groups.m) @ inst.v
-    gram2 = 2.0 * (basis @ basis.T)
+    basis = _basis(inst, groups)
     if step is None:
-        lam_max = float(sym_eigenvalues(gram2)[0])
+        lam_max = float(sym_eigenvalues(2.0 * (basis @ basis.T))[0])
         step = 0.5 / lam_max if lam_max > 0 else 1.0
     elif step <= 0:
         raise InvalidInputError("step must be positive")
@@ -213,7 +209,7 @@ def perturbation_variance(
     first-order closed form alpha_j^2 (1 + sum_i alpha_i^2 - 2 alpha_j)
     sigma^2.
     """
-    alpha = check_prob_vector(alpha, "alpha")
+    alpha = check_prob_vector(alpha)
     if not 0 <= j < alpha.size:
         raise InvalidInputError("index j out of range")
     predicted = float(

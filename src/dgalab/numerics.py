@@ -23,13 +23,13 @@ def _as_finite_vector(v, name: str = "input") -> np.ndarray:
     return arr
 
 
-def check_prob_vector(p, name: str = "probability vector") -> np.ndarray:
-    """Validate nonnegativity and unit sum (within 1e-12)."""
-    arr = _as_finite_vector(p, name)
+def check_prob_vector(p) -> np.ndarray:
+    """Validate a weight vector alpha: nonnegative, unit sum (within 1e-12)."""
+    arr = _as_finite_vector(p, "alpha")
     if np.any(arr < 0):
-        raise InvalidInputError(f"{name} has negative entries")
+        raise InvalidInputError("alpha has negative entries")
     if abs(arr.sum() - 1.0) > PROB_ATOL:
-        raise InvalidInputError(f"{name} does not sum to 1 (got {arr.sum()!r})")
+        raise InvalidInputError(f"alpha does not sum to 1 (got {arr.sum()!r})")
     return arr
 
 
@@ -60,11 +60,11 @@ def project_to_simplex(v) -> np.ndarray:
     return np.clip(arr - css[k], 0.0, None)
 
 
-def sym_eigenvalues(a, sym_rtol: float = 1e-10) -> np.ndarray:
+def sym_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     Rejects non-square, empty, non-finite and asymmetric (beyond
-    sym_rtol * max|a|) input, then runs LAPACK's symmetric solver on the
+    1e-10 * max|a|) input, then runs LAPACK's symmetric solver on the
     symmetrized matrix.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -73,13 +73,13 @@ def sym_eigenvalues(a, sym_rtol: float = 1e-10) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains non-finite entries")
     scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > sym_rtol * scale:
+    if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
         raise InvalidInputError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
 
 
-def condition_number(eigs, cutoff: float = 1e-10) -> float:
-    """lambda_max / lambda_min over eigenvalues above cutoff * lambda_max.
+def condition_number(eigs) -> float:
+    """lambda_max / lambda_min over eigenvalues above 1e-10 * lambda_max.
 
     Eigenvalues at or below the relative cutoff are treated as zero modes
     and excluded; a single surviving eigenvalue yields 1.
@@ -87,12 +87,10 @@ def condition_number(eigs, cutoff: float = 1e-10) -> float:
     arr = np.asarray(eigs, dtype=np.float64)
     if arr.size == 0:
         raise InvalidInputError("empty spectrum")
-    if cutoff <= 0:
-        raise InvalidInputError("cutoff must be positive")
     if np.any(np.diff(arr) > 0):
         raise InvalidInputError("eigenvalues must be sorted descending")
     top = arr[0]
-    kept = arr[arr > cutoff * top]
+    kept = arr[arr > 1e-10 * top]
     if kept.size == 0:
         raise DegenerateSpectrumError("no eigenvalue above the cutoff")
     return float(kept[0] / kept[-1])

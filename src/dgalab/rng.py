@@ -46,11 +46,9 @@ class RngStream:
         derived = _mix64(self.stream_id ^ _mix64((index & _MASK64) ^ 0x9E3779B97F4A7C15))
         return RngStream(self.seed, derived)
 
-    def normal(self, size, scale: float = 1.0) -> np.ndarray:
-        """Standard normal draws times `scale` (exact zeros for scale 0)."""
-        if scale == 0.0:
-            return np.zeros(size, dtype=np.float64)
-        return scale * self.generator().standard_normal(size)
+    def normal(self, size) -> np.ndarray:
+        """Standard normal draws."""
+        return self.generator().standard_normal(size)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), sorted ascending."""

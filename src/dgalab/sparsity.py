@@ -18,7 +18,7 @@ samplers; correlated sources are reported, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,34 +42,30 @@ class LogitSource:
     draw: Callable[[RngStream, int, int], np.ndarray]
 
 
-def gaussian_source(mean: float = 0.0, std: float = 1.0) -> LogitSource:
+def gaussian_source() -> LogitSource:
     def draw(rng, n, L):
-        return mean + std * rng.generator().standard_normal((n, L))
+        return rng.generator().standard_normal((n, L))
 
-    return LogitSource(f"gaussian(mean={mean},std={std})", draw)
+    return LogitSource("gaussian(mean=0.0,std=1.0)", draw)
 
 
-def student_t_source(df: float = 2.0, scale: float = 1.0) -> LogitSource:
+def student_t_source() -> LogitSource:
     def draw(rng, n, L):
-        return scale * rng.generator().standard_t(df, size=(n, L))
+        return rng.generator().standard_t(2.0, size=(n, L))
 
-    return LogitSource(f"student_t(df={df},scale={scale})", draw)
+    return LogitSource("student_t(df=2.0,scale=1.0)", draw)
 
 
-def mixture_source(
-    spike_prob: float = 0.1, spike_mean: float = 3.0, std: float = 1.0
-) -> LogitSource:
-    """Gaussian bulk with an occasional shifted spike component."""
+def mixture_source() -> LogitSource:
+    """Standard normal bulk; each logit is shifted by 3 with probability 0.1."""
 
     def draw(rng, n, L):
         gen = rng.generator()
-        base = std * gen.standard_normal((n, L))
-        spikes = gen.random((n, L)) < spike_prob
-        return base + spike_mean * spikes
+        base = gen.standard_normal((n, L))
+        spikes = gen.random((n, L)) < 0.1
+        return base + 3.0 * spikes
 
-    return LogitSource(
-        f"mixture(p={spike_prob},mu={spike_mean},std={std})", draw
-    )
+    return LogitSource("mixture(p=0.1,mu=3.0,std=1.0)", draw)
 
 
 def constant_source(value: float) -> LogitSource:
@@ -123,7 +119,7 @@ def _check_rho(rho: float, L: int) -> float:
 
 def is_rho_sparse(alpha, rho: float) -> bool:
     """True when some weight strictly exceeds 1/(L*rho)."""
-    alpha = check_prob_vector(alpha, "alpha")
+    alpha = check_prob_vector(alpha)
     rho = _check_rho(rho, alpha.size)
     return bool(alpha.max() > 1.0 / (alpha.size * rho))
 
@@ -149,7 +145,6 @@ def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> n
 class BoundDetail:
     bound: float
     standard_error: float
-    x_star: float
 
 
 def _logsumexp_rest(logits: np.ndarray) -> np.ndarray:
@@ -199,46 +194,15 @@ def p_sparse_lower_bound_detail(
         grid_logs = np.linspace(lo, hi, 32)
     else:
         grid_logs = np.log(np.sort(x_grid))
-    best = BoundDetail(-np.inf, 0.0, np.nan)
+    best = BoundDetail(-np.inf, 0.0)
     for lx in grid_logs:
         union = (log_head <= lx) | (log_thresh + lx <= log_tail)
         u = union.mean()
         bound = float(np.clip(1.0 - u**L, 0.0, 1.0))
         if bound > best.bound:
             se = float(L * u ** (L - 1) * np.sqrt(u * (1.0 - u) / trials))
-            best = BoundDetail(bound, se, float(np.exp(lx)))
+            best = BoundDetail(bound, se)
     return best
-
-
-@dataclass(frozen=True)
-class SparsityCell:
-    empirical_p: float
-    bound_p: float
-    samples: int
-
-
-@dataclass
-class SparsityReport:
-    """Empirical and bound sparsity probabilities keyed by (L, rho)."""
-
-    HEADER = ("L", "rho", "empirical_p", "bound_p", "samples")
-
-    entries: dict = field(default_factory=dict)
-
-    def add(self, L: int, rho: float, cell: SparsityCell) -> None:
-        if not (0.0 <= cell.empirical_p <= 1.0 and 0.0 <= cell.bound_p <= 1.0):
-            raise InvalidInputError("probabilities must lie in [0, 1]")
-        if cell.samples <= 0:
-            raise InvalidInputError("samples must be positive")
-        _check_rho(rho, L)
-        self.entries[(int(L), float(rho))] = cell
-
-    def rows(self) -> list:
-        out = []
-        for (L, rho) in sorted(self.entries):
-            cell = self.entries[(L, rho)]
-            out.append((L, rho, cell.empirical_p, cell.bound_p, cell.samples))
-        return out
 
 
 def sparsity_profile(
@@ -247,13 +211,14 @@ def sparsity_profile(
     rho_list,
     trials: int,
     rng: RngStream,
-) -> SparsityReport:
-    """Empirical P_sparse and its lower bound on the (L, rho) grid.
+) -> dict:
+    """Empirical P_sparse and its lower bound on the (L, rho) grid, as
+    {(L, rho): (empirical_p, bound_p)}.
 
     Grid cells with rho <= 1/L fall outside the sparse-rate domain and are
     skipped.
     """
-    report = SparsityReport()
+    cells = {}
     for li, L in enumerate(L_list):
         L = int(L)
         cell_rng = rng.child(1000 + li)
@@ -265,5 +230,5 @@ def sparsity_profile(
             detail = p_sparse_lower_bound_detail(
                 source, L, rho, None, max(trials, 10_000), cell_rng.child(1 + ri)
             )
-            report.add(L, rho, SparsityCell(emp, detail.bound, trials))
-    return report
+            cells[(L, float(rho))] = (emp, detail.bound)
+    return cells

@@ -260,15 +260,31 @@ class TestSubcommands:
         assert "no --rho value" in capsys.readouterr().err
 
     def test_zero_width_is_rejected(self, tmp_path, capsys):
-        """A width of 0 crashed the attention sampler and made decode-bench
-        divide by sqrt(0) yet exit 0."""
+        """A width of 0 crashed the attention sampler, made decode-bench
+        divide by sqrt(0) yet exit 0, and let noise write two CSVs before
+        failing on an empty instance."""
         out = tmp_path / "out"
         assert run(["sparsity", "--sampler", "attention", "--d", "0", "--trials", "10",
                     "--out", str(out)]) == 2
         assert run(["decode-bench", "--L", "16", "--d", "0", "--steps", "4",
                     "--out", str(out)]) == 2
+        assert run(["noise", "--L", "8", "--m", "2", "--d", "0", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert run(["coding", "--L", "8", "--m", "2", "--d", "0", "--instances", "2",
+                    "--iters", "5", "--out", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.count("--d must be at least 1") == 2
+        assert capsys.readouterr().err.count("--d must be at least 1") == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["coding", "--m", "1", "--d", "4", "--instances", "2", "--iters", "5"],
+        ["noise", "--m", "1", "--trials", "10"],
+    ], ids=["coding", "noise"])
+    def test_zero_length_is_rejected(self, tmp_path, capsys, argv):
+        """L = 0 failed inside the group check, not naming --L."""
+        out = tmp_path / "out"
+        assert run(argv + ["--L", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--L must be at least 1" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         """Same seed and flags give identical file bytes for every command."""

@@ -2,9 +2,12 @@
 against brute force on small edge inputs, and the sampled-score pipeline
 against the oracle."""
 
+import tempfile
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.control import current_build_context
 
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
@@ -15,6 +18,7 @@ from dgalab.dga import (
     dga_attention_with_partition,
     partition_tokens,
 )
+from dgalab.matrixio import dump_case
 from dgalab.oracles import mask_by_reachability, naive_dga_attention
 from dgalab.rng import RngStream
 
@@ -67,10 +71,26 @@ def grouped_cases(draw, lengths, blocks, gammas=(0.1, 0.5, 1.0)):
     return partition_tokens(scores, gamma, m), batch
 
 
+def assert_close_or_dump(batch, got, want, **tol):
+    """assert_allclose inside a hypothesis test. The shrunk failing example
+    is also written as Q/K/V/got/want .mat files (finite ones only) to a
+    fresh temp directory, which the assertion message names."""
+    try:
+        np.testing.assert_allclose(got, want, **tol)
+    except AssertionError as exc:
+        if not current_build_context().is_final:
+            raise
+        out = tempfile.mkdtemp(prefix="dgalab-case-")
+        named = [("Q", batch.q), ("K", batch.k), ("V", batch.v), ("got", got), ("want", want)]
+        dump_case(out, [(name, mat) for name, mat in named if np.isfinite(mat).all()])
+        raise AssertionError(f"{exc}\nshrunk case dumped to {out}") from None
+
+
 def check_against_oracles(part, batch):
     np.testing.assert_array_equal(build_group_mask(part), mask_by_reachability(part))
-    np.testing.assert_allclose(
-        dga_attention_with_partition(batch, part), naive_dga_attention(batch, part), atol=1e-12
+    assert_close_or_dump(
+        batch, dga_attention_with_partition(batch, part), naive_dga_attention(batch, part),
+        atol=1e-12,
     )
 
 
@@ -142,7 +162,7 @@ def test_all_focal_or_unit_blocks_equal_causal_attention(L, kind, m, gamma, d, s
     scores = rng.integers(0, 4, L).astype(float)
     part = partition_tokens(scores, 1.0, m) if kind == "all focal" else partition_tokens(scores, gamma, 1)
     want, _ = causal_attention(batch)
-    np.testing.assert_allclose(dga_attention_with_partition(batch, part), want, atol=1e-12)
+    assert_close_or_dump(batch, dga_attention_with_partition(batch, part), want, atol=1e-12)
 
 
 @st.composite
@@ -165,7 +185,7 @@ def test_sampled_pipeline_matches_oracle(case):
     batch, m, gamma, spec, s = case
     part = compute_partition(batch, m, gamma, spec, RngStream(s))
     got = dga_attention(batch, m, gamma, spec, RngStream(s))
-    np.testing.assert_allclose(got, naive_dga_attention(batch, part), rtol=0, atol=1e-12)
+    assert_close_or_dump(batch, got, naive_dga_attention(batch, part), rtol=0, atol=1e-12)
 
 
 @given(pipeline_cases(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))

@@ -46,9 +46,6 @@ class TestChildren:
 
 
 class TestHelpers:
-    def test_zero_scale_is_exactly_zero(self):
-        assert np.all(RngStream(0).normal(50, scale=0.0) == 0.0)
-
     def test_choice_without_replacement(self):
         picked = RngStream(4).choice_without_replacement(20, 8)
         assert picked.size == 8
