@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySequenceError, InvalidInputError
+from .errors import InvalidInputError
 
 _ROW_BLOCK = 128  # query rows per causal tile: memory O(B L)
 
@@ -40,7 +40,7 @@ class AttentionBatch:
         if q.ndim != 2 or q.shape[1] == 0:
             raise InvalidInputError("Q must be 2-D with width d >= 1")
         if q.shape[0] == 0:
-            raise EmptySequenceError("sequence length is zero")
+            raise InvalidInputError("sequence length is zero")
         if k.shape != q.shape or v.shape != q.shape:
             raise InvalidInputError("Q, K, V must share one (L, d) shape")
         for name, mat in (("Q", q), ("K", k), ("V", v)):

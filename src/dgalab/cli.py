@@ -123,7 +123,7 @@ def run_sparsity(p) -> int:
 
 
 def run_coding(p) -> int:
-    _check_at_least(p, L=1, d=1, instances=1, iters=1)
+    _check_at_least(p, L=1, d=1, instances=1, iters=1, m=1)
     L, d = p.L, p.d
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -158,7 +158,7 @@ def run_coding(p) -> int:
 
 
 def run_noise(p) -> int:
-    _check_at_least(p, L=1, d=1, trials=2)
+    _check_at_least(p, L=1, d=1, trials=2, m=1)
     L, trials = p.L, p.trials
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -189,7 +189,7 @@ def run_noise(p) -> int:
 
 
 def run_dga_check(p) -> int:
-    _check_at_least(p, L=2, d=1, cases=1)
+    _check_at_least(p, L=2, d=1, cases=1, m=1)
     m, gamma = p.m, p.gamma
     for case in range(p.cases):
         case_rng = p.rng.child(case)
@@ -235,7 +235,7 @@ def run_dga_check(p) -> int:
 
 
 def run_decode_bench(p) -> int:
-    _check_at_least(p, steps=0, d=1)
+    _check_at_least(p, steps=0, d=1, L=1, m=1)
     batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, p.d)))
     _, state = prefill(batch, p.m, p.gamma)
     gen = p.rng.child(1).generator()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleError, InvalidInputError, StepTooLargeError
+from .errors import InvalidInputError, StepTooLargeError
 from .numerics import (
     check_prob_vector,
     condition_number,
@@ -61,7 +61,7 @@ class GroupStructure:
         if self.m < 1 or self.L < 1:
             raise InvalidInputError("L and m must be positive")
         if self.L % self.m:
-            raise IndivisibleError(f"group size {self.m} does not divide L={self.L}")
+            raise InvalidInputError(f"group size {self.m} does not divide L={self.L}")
 
     @property
     def k(self) -> int:
@@ -314,9 +314,6 @@ def kl_under_noise(
     rows = []
     for si, sigma in enumerate(sigma_list):
         sigma = float(sigma)
-        if sigma == 0.0:
-            rows.append((sigma, 0.0, 0.0))
-            continue
         gen = rng.child(si).generator()
         noisy = softmax_rows(logits + sigma * gen.standard_normal((trials, groups.L)))
         noisy_grouped = softmax_rows(

@@ -58,12 +58,6 @@ class DecoderState:
     prefill_tokens: int = 0
     dots: int = 0
 
-    @classmethod
-    def empty(cls, d: int, m: int) -> "DecoderState":
-        if d < 1 or m < 1:
-            raise InvalidInputError("d and m must be at least 1")
-        return cls(d, m, np.zeros((2, 0, d)))
-
     @property
     def tail_rows(self) -> int:
         return self.rows - self.focal_rows - self.group_rows
@@ -114,7 +108,7 @@ def decode_step(
     q = qkv[0]
 
     if state.rows == state.cache.shape[1]:
-        grow = np.empty((2, max(state.rows, 1), state.d))
+        grow = np.empty((2, state.rows, state.d))
         state.cache = np.concatenate([state.cache, grow], axis=1)
     state.cache[:, state.rows] = qkv[1:]
     state.rows += 1

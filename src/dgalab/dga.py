@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import _ROW_BLOCK, AttentionBatch, _tile, _visible
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError
 from .rng import RngStream
 
 _TILE_ROWS = 64  # query rows per grouped-attend tile
@@ -41,14 +41,14 @@ class SampleSpec:
 
     def __post_init__(self):
         if self.recent_count < 0 or self.random_count < 0:
-            raise InvalidSpecError("sample counts must be nonnegative")
+            raise InvalidInputError("sample counts must be nonnegative")
         if self.recent_count + self.random_count < 1:
-            raise InvalidSpecError("at least one sampled row is required")
+            raise InvalidInputError("at least one sampled row is required")
 
     def positions(self, L: int, rng: RngStream | None) -> np.ndarray:
         """Sorted sampled query positions: recent block + random earlier."""
         if self.recent_count + self.random_count > L:
-            raise InvalidSpecError(
+            raise InvalidInputError(
                 f"spec samples {self.recent_count + self.random_count} rows "
                 f"but the sequence has only {L}"
             )

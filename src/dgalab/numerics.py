@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidInputError
+from .errors import InvalidInputError
 
 PROB_ATOL = 1e-12
 
@@ -92,6 +92,6 @@ def condition_number(eigs) -> float:
     top = arr[0]
     kept = arr[arr > 1e-10 * top]
     if kept.size == 0:
-        raise DegenerateSpectrumError("no eigenvalue above the cutoff")
+        raise InvalidInputError("no eigenvalue above the cutoff")
     return float(kept[0] / kept[-1])
 

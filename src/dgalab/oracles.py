@@ -96,30 +96,34 @@ def mask_by_reachability(partition: TokenPartition) -> np.ndarray:
 def naive_dga_attention(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
     """Per-query materialization of the grouped layout, all loops.
 
-    Recomputes every block aggregate from raw member rows for every
-    query; no shared state with the production path beyond the partition.
+    Builds the focal rows and every block aggregate once, from raw member
+    rows with scalar dot products, then copies that layout for each query
+    and fills in its complement slots; no shared state with the
+    production path beyond the partition.
     """
     L, d = batch.q.shape
     m, r, k = partition.m, partition.r, partition.k
     scale = 1.0 / np.sqrt(d)
     mask = mask_by_reachability(partition)
+    base_keys = np.zeros((r + k + m, d))
+    base_values = np.zeros((r + k + m, d))
+    for col, j in enumerate(partition.focal):
+        base_keys[col] = batch.k[j]
+        base_values[col] = batch.v[j]
+    for g, members in enumerate(partition.groups):
+        last = members[-1]
+        logits = np.array(
+            [float(np.dot(batch.q[last], batch.k[j])) * scale for j in members]
+        )
+        e = np.exp(logits - logits.max())
+        p = e / e.sum()
+        for idx, j in enumerate(members):
+            base_keys[r + g] += p[idx] * batch.k[j]
+            base_values[r + g] += p[idx] * batch.v[j]
     out = np.zeros((L, d))
     for i in range(L):
-        keys = np.zeros((r + k + m, d))
-        values = np.zeros((r + k + m, d))
-        for col, j in enumerate(partition.focal):
-            keys[col] = batch.k[j]
-            values[col] = batch.v[j]
-        for g, members in enumerate(partition.groups):
-            last = members[-1]
-            logits = np.array(
-                [float(np.dot(batch.q[last], batch.k[j])) * scale for j in members]
-            )
-            e = np.exp(logits - logits.max())
-            p = e / e.sum()
-            for idx, j in enumerate(members):
-                keys[r + g] += p[idx] * batch.k[j]
-                values[r + g] += p[idx] * batch.v[j]
+        keys = base_keys.copy()
+        values = base_values.copy()
         for members in partition.groups:
             if members[0] <= i <= members[-1]:
                 for slot, j in enumerate(members):

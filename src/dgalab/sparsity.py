@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRateError
-from .numerics import check_prob_vector, softmax_rows
+from .errors import InvalidInputError
+from .numerics import softmax_rows
 from .rng import RngStream
 
 _CHUNK_ENTRIES = 4_000_000
@@ -111,21 +111,15 @@ def named_source(name: str, d: int = 16) -> LogitSource:
 def _check_rho(rho: float, L: int) -> float:
     rho = float(rho)
     if not (1.0 / L < rho <= 1.0):
-        raise InvalidRateError(
+        raise InvalidInputError(
             f"rho must lie in (1/L, 1] = ({1.0 / L:.6g}, 1]; got {rho!r}"
         )
     return rho
 
 
-def is_rho_sparse(alpha, rho: float) -> bool:
-    """True when some weight strictly exceeds 1/(L*rho)."""
-    alpha = check_prob_vector(alpha)
-    rho = _check_rho(rho, alpha.size)
-    return bool(alpha.max() > 1.0 / (alpha.size * rho))
-
-
 def empirical_p_sparse(weight_rows, rho: float) -> float:
-    """Fraction of weight rows that are rho-sparse."""
+    """Fraction of weight rows that are rho-sparse, i.e. whose largest
+    weight strictly exceeds 1/(L*rho); a single row gives 0.0 or 1.0."""
     rows = np.asarray(weight_rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
@@ -216,11 +210,11 @@ def sparsity_profile(
     {(L, rho): (empirical_p, bound_p)}.
 
     Grid cells with rho <= 1/L fall outside the sparse-rate domain and are
-    skipped.
+    skipped. A repeated L is computed once, from the stream of its last
+    occurrence in L_list.
     """
     cells = {}
-    for li, L in enumerate(L_list):
-        L = int(L)
+    for L, li in {int(L): li for li, L in enumerate(L_list)}.items():
         cell_rng = rng.child(1000 + li)
         rows = sample_weight_rows(source, L, trials, cell_rng.child(0))
         for ri, rho in enumerate(rho_list):

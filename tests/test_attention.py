@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch, causal_attention
-from dgalab.errors import EmptySequenceError, InvalidInputError
+from dgalab.errors import InvalidInputError
 from dgalab.oracles import naive_causal_attention
 
 
@@ -83,7 +83,7 @@ class TestCausalAttention:
         np.testing.assert_allclose(w1, w2, atol=1e-10)
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(InvalidInputError, match="sequence length is zero"):
             AttentionBatch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_zero_width_rejected_without_a_warning(self):

@@ -278,13 +278,29 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["coding", "--m", "1", "--d", "4", "--instances", "2", "--iters", "5"],
         ["noise", "--m", "1", "--trials", "10"],
-    ], ids=["coding", "noise"])
+        ["decode-bench", "--d", "4", "--steps", "4"],
+    ], ids=["coding", "noise", "decode-bench"])
     def test_zero_length_is_rejected(self, tmp_path, capsys, argv):
-        """L = 0 failed inside the group check, not naming --L."""
+        """L = 0 failed inside the group check or the attention batch,
+        not naming --L."""
         out = tmp_path / "out"
         assert run(argv + ["--L", "0", "--out", str(out)]) == 2
         assert not out.exists()
         assert "--L must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["coding", "--L", "8", "--d", "4", "--m", "2,0", "--instances", "2", "--iters", "5"],
+        ["noise", "--L", "8", "--m", "2,0", "--trials", "10"],
+        ["dga-check", "--m", "0", "--cases", "2"],
+        ["decode-bench", "--L", "16", "--d", "4", "--m", "0", "--steps", "4"],
+    ], ids=["coding", "noise", "dga-check", "decode-bench"])
+    def test_zero_block_is_rejected(self, tmp_path, capsys, argv):
+        """m = 0 failed inside the group or partition check, not naming --m;
+        every value of a list flag is checked."""
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--m must be at least 1" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         """Same seed and flags give identical file bytes for every command."""

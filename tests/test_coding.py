@@ -19,7 +19,7 @@ from dgalab.coding import (
     verify_condition_numbers,
 )
 from dgalab.csvio import write_csv
-from dgalab.errors import IndivisibleError, InvalidInputError, StepTooLargeError
+from dgalab.errors import InvalidInputError, StepTooLargeError
 from dgalab.numerics import softmax, sym_eigenvalues
 from dgalab.rng import RngStream
 
@@ -50,7 +50,7 @@ class TestGroupingMatrix:
             np.testing.assert_allclose(eigs[k:], np.zeros(L - k), atol=1e-12)
 
     def test_indivisible_rejected(self):
-        with pytest.raises(IndivisibleError):
+        with pytest.raises(InvalidInputError, match="group size 3 does not divide L=10"):
             build_grouping_matrix(10, 3)
 
 

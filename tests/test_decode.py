@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dgalab.attention import AttentionBatch
 from dgalab.decode import (
-    DecoderState,
     decode_step,
     ledger,
     prefill,
@@ -25,6 +24,11 @@ def random_batch(rng, L, d):
     )
 
 
+def one_token_prefill(rng, d, m):
+    """A session whose cache holds one focal prompt token."""
+    return prefill(random_batch(rng, 1, d), m, 1.0)
+
+
 class TestRegroupThreshold:
     def test_ten_percent_slack(self):
         assert regroup_threshold(2) == 3
@@ -39,6 +43,12 @@ class TestPrefill:
         rng = np.random.default_rng(0)
         _, state = prefill(random_batch(rng, 1, 4), 2, 0.5)
         assert (state.focal_rows, state.group_rows, state.tail_rows) == (1, 0, 0)
+
+    def test_nonpositive_block_rejected(self):
+        batch = random_batch(np.random.default_rng(15), 8, 4)
+        for m in (0, -3):
+            with pytest.raises(InvalidInputError, match="m must be at least 1"):
+                prefill(batch, m, 0.5)
 
     def test_gamma_one_caches_everything_individually(self):
         rng = np.random.default_rng(1)
@@ -68,17 +78,9 @@ class TestPrefill:
 
 
 class TestDecodeStep:
-    def test_first_step_after_empty_prefill_is_self_attention(self):
-        rng = np.random.default_rng(3)
-        state = DecoderState.empty(5, 2)
-        q, k, v = rng.normal(size=(3, 5))
-        out, state = decode_step(state, q, k, v)
-        np.testing.assert_allclose(out, v, atol=1e-14)
-        assert state.tail_rows == 1
-
     def test_block_forms_after_threshold(self):
         rng = np.random.default_rng(4)
-        state = DecoderState.empty(3, 2)
+        _, state = one_token_prefill(rng, 3, 2)
         for step in range(3):
             _, state = decode_step(state, *rng.normal(size=(3, 3)))
         assert state.group_rows == 1
@@ -101,10 +103,11 @@ class TestDecodeStep:
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
+        prompt = random_batch(rng, 1, 4)
         steps = [rng.normal(size=(3, 4)) for _ in range(10)]
         outs = []
         for _ in range(2):
-            state = DecoderState.empty(4, 2)
+            _, state = prefill(prompt, 2, 1.0)
             outs.append([decode_step(state, *s)[0] for s in steps])
         for a, b in zip(*outs):
             np.testing.assert_array_equal(a, b)
@@ -121,20 +124,15 @@ class TestDecodeStep:
 
     def test_cache_is_written_in_place_and_doubles_when_full(self):
         rng = np.random.default_rng(13)
-        state = DecoderState.empty(3, 2)
+        _, state = one_token_prefill(rng, 3, 2)
         for _ in range(40):
             cache, full = state.cache, state.rows == state.cache.shape[1]
             _, state = decode_step(state, *rng.normal(size=(3, 3)))
             assert (state.cache is not cache) == full
             assert state.cache.shape[1] in (1, 2, 4, 8, 16, 32)
 
-    def test_empty_rejects_nonpositive_width_or_block(self):
-        for d, m in [(2, 0), (0, 2), (-1, 2), (2, -3)]:
-            with pytest.raises(InvalidInputError):
-                DecoderState.empty(d, m)
-
     def test_dimension_mismatch_rejected(self):
-        state = DecoderState.empty(4, 2)
+        _, state = one_token_prefill(np.random.default_rng(14), 4, 2)
         with pytest.raises(InvalidInputError):
             decode_step(state, np.zeros(3), np.zeros(4), np.zeros(4))
 

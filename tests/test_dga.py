@@ -17,7 +17,7 @@ from dgalab.dga import (
     importance_scores_exact,
     partition_tokens,
 )
-from dgalab.errors import InvalidInputError, InvalidSpecError
+from dgalab.errors import InvalidInputError
 from dgalab.oracles import (
     importance_scores_loop,
     mask_by_reachability,
@@ -135,7 +135,7 @@ class TestApproxImportanceScores:
     def test_oversized_spec_rejected(self):
         rng = np.random.default_rng(6)
         batch = random_batch(rng, 6, 2)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError, match="spec samples 8 rows but the sequence has only 6"):
             approx_importance_scores(batch, SampleSpec(4, 4), RngStream(0))
 
     def test_random_rows_require_stream(self):

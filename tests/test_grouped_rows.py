@@ -112,7 +112,7 @@ TILE_LENGTHS = st.one_of(
 )
 
 
-# The naive oracle takes about 0.8 s at L=260, so few examples, and only
+# The naive oracle takes about 0.1 s at L=260, so few examples, and only
 # partitions with real blocks: m = 1 and gamma = 1 across tiles are checked
 # against exact attention below.
 @settings(max_examples=10)

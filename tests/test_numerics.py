@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgalab.errors import ConvergenceError, DegenerateSpectrumError, InvalidInputError
+from dgalab.errors import ConvergenceError, InvalidInputError
 from dgalab.numerics import (
     condition_number,
     project_to_simplex,
@@ -180,7 +180,7 @@ class TestConditionNumber:
         assert condition_number([9.0, 3.0, 1e-12]) == pytest.approx(3.0)
 
     def test_degenerate_spectrum(self):
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(InvalidInputError, match="no eigenvalue above the cutoff"):
             condition_number([0.0, 0.0])
 
     def test_rejects_unsorted(self):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from dgalab.errors import InvalidInputError, InvalidRateError
+from dgalab.errors import InvalidInputError
 from dgalab.rng import RngStream
 from dgalab.sparsity import (
     attention_source,
     constant_source,
     empirical_p_sparse,
     gaussian_source,
-    is_rho_sparse,
     mixture_source,
     named_source,
     p_sparse_lower_bound_detail,
@@ -21,11 +20,13 @@ from dgalab.sparsity import (
 
 
 class TestIsRhoSparse:
+    """The rho-sparse rule on one row: empirical_p_sparse is 1.0 or 0.0."""
+
     def test_dominant_entry(self):
-        assert is_rho_sparse([0.7, 0.1, 0.1, 0.1], 0.5) is True
+        assert empirical_p_sparse([0.7, 0.1, 0.1, 0.1], 0.5) == 1.0
 
     def test_uniform_small(self):
-        assert is_rho_sparse([0.25, 0.25, 0.25, 0.25], 0.5) is False
+        assert empirical_p_sparse([0.25, 0.25, 0.25, 0.25], 0.5) == 0.0
 
     def test_uniform_never_sparse(self):
         """max = 1/L never strictly exceeds 1/(L rho) for rho <= 1."""
@@ -34,7 +35,7 @@ class TestIsRhoSparse:
             for rho in (2.0 / L, 0.5, 1.0):
                 if rho <= 1.0 / L:
                     continue
-                assert is_rho_sparse(uniform, rho) is False
+                assert empirical_p_sparse(uniform, rho) == 0.0
 
     def test_monotone_in_rho(self):
         """Sparse at rho implies sparse at every larger rho."""
@@ -43,7 +44,7 @@ class TestIsRhoSparse:
             L = int(rng.integers(4, 40))
             alpha = rng.dirichlet(np.full(L, 0.3))
             rhos = np.sort(rng.uniform(1.0 / L + 1e-9, 1.0, size=5))
-            flags = [is_rho_sparse(alpha, r) for r in rhos]
+            flags = [empirical_p_sparse(alpha, r) for r in rhos]
             for lo, hi in zip(flags, flags[1:]):
                 assert hi >= lo
 
@@ -51,15 +52,15 @@ class TestIsRhoSparse:
         rng = np.random.default_rng(1)
         alpha = rng.dirichlet(np.ones(10) * 0.5)
         for rho in (0.2, 0.5, 1.0):
-            want = is_rho_sparse(alpha, rho)
+            want = empirical_p_sparse(alpha, rho)
             for _ in range(10):
-                assert is_rho_sparse(rng.permutation(alpha), rho) == want
+                assert empirical_p_sparse(rng.permutation(alpha), rho) == want
 
     def test_invalid_rate(self):
-        with pytest.raises(InvalidRateError):
-            is_rho_sparse([0.5, 0.5], 0.4)
-        with pytest.raises(InvalidRateError):
-            is_rho_sparse([0.5, 0.5], 1.5)
+        with pytest.raises(InvalidInputError, match=r"rho must lie in \(1/L, 1\]"):
+            empirical_p_sparse([0.5, 0.5], 0.4)
+        with pytest.raises(InvalidInputError, match=r"rho must lie in \(1/L, 1\]"):
+            empirical_p_sparse([0.5, 0.5], 1.5)
 
 
 class TestEmpiricalPSparse:
@@ -198,6 +199,22 @@ class TestSparsityProfile:
         assert (64, 0.01) not in report
         assert (256, 0.01) in report
         assert (64, 0.05) in report
+
+    def test_repeated_length_is_drawn_once(self, monkeypatch):
+        """A repeated L used to be drawn and bounded again, keeping only
+        the last result."""
+        calls = []
+
+        def counting(source, L, n, rng):
+            calls.append(L)
+            return sample_weight_rows(source, L, n, rng)
+
+        monkeypatch.setattr("dgalab.sparsity.sample_weight_rows", counting)
+        report = sparsity_profile(
+            gaussian_source(), [64, 32, 64], [0.5], trials=10, rng=RngStream(16)
+        )
+        assert sorted(calls) == [32, 64]
+        assert sorted(report) == [(32, 0.5), (64, 0.5)]
 
     def test_attention_source_rows_are_reported(self):
         """Correlated logits from random attention batches: values are
