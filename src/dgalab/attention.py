@@ -1,4 +1,4 @@
-"""Exact causal self-attention, and the tile kernel every O(L^2) path shares.
+"""Exact causal self-attention, and the tile kernel all attention shares.
 
 This is the correctness oracle for the grouped pipeline and the weight
 source for sparsity studies. Hidden positions get a logit of -inf, never
@@ -6,16 +6,18 @@ a large finite sentinel, so their weight is exactly zero.
 
 One rule, `_visible`, decides what a query sees: column c is visible to
 row i iff since[c] <= i < until[c]; a key of exact attention is
-[its position, L). `_tile` lays sorted query rows' logits over several
-key blocks side by side, hides only its trailing band by that rule and
-exponentiates after a max shift. `causal_attention` runs it on 128-row
-tiles over K[:last row + 1], so the weight matrix starts as zeros and
-nothing above its diagonal is ever written; `dga` scores and attends
-through it.
+[its position, L). `_tile` lays queries' logits over several key blocks
+side by side, batched over leading axes, hides only its trailing band by
+that rule when given the rows' positions, and exponentiates after a max
+shift. `causal_attention` runs it on 128-row tiles over K[:last row + 1],
+so the weight matrix starts as zeros and nothing above its diagonal is
+ever written. `dga` scores, pools its block aggregates and attends
+through it, and `decode` attends and regroups through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +68,25 @@ def _visible(rows: np.ndarray, since, until) -> np.ndarray:
     return (since <= i) & (i < until)
 
 
-def _tile(batch: AttentionBatch, rows: np.ndarray, blocks, since: np.ndarray,
-          until, out=None) -> tuple:
-    """(e, row sums), e = exp(logit - row max) of sorted query rows over the
-    key blocks laid side by side, written into out if given. Only the
-    trailing since.size columns can be hidden, by _visible; every row sees
+def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) -> tuple:
+    """(e, row sums), e = exp(logit - row max) of queries q (..., n, d) over
+    the key blocks (..., len, d) laid side by side on the last axis, written
+    into out if given; leading axes batch. Given the sorted rows' positions,
+    the trailing since.size columns are hidden by _visible; every row sees
     the columns before them."""
-    q = batch.q[rows]
     if out is None:
-        out = np.empty((rows.size, sum(len(block) for block in blocks)))
+        out = np.empty(q.shape[:-1] + (sum(block.shape[-2] for block in blocks),))
     col = 0
     for block in blocks:
-        np.matmul(q, block.T, out=out[:, col : col + len(block)])
-        col += len(block)
-    out *= 1.0 / np.sqrt(batch.width)
-    np.copyto(out[:, col - since.size :], -np.inf, where=~_visible(rows, since, until))
-    out -= out.max(axis=1, keepdims=True)
+        width = block.shape[-2]
+        np.matmul(q, block.swapaxes(-1, -2), out=out[..., col : col + width])
+        col += width
+    out *= 1.0 / math.sqrt(q.shape[-1])
+    if rows is not None:
+        np.copyto(out[..., col - since.size :], -np.inf, where=~_visible(rows, since, until))
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    return out, out.sum(axis=1)
+    return out, out.sum(axis=-1)
 
 
 def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +102,8 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, L, _ROW_BLOCK):
         end = min(start + _ROW_BLOCK, L)
         rows = np.arange(start, end)
-        tile, sums = _tile(batch, rows, [batch.k[:end]], rows[1:], end, out=weights[start:end, :end])
+        tile, sums = _tile(batch.q[start:end], [batch.k[:end]], rows, rows[1:], end,
+                           out=weights[start:end, :end])
         tile /= sums[:, None]
         out[start:end] = tile @ batch.v[:end]
     return out, weights

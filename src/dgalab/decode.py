@@ -7,7 +7,8 @@ the end of the tail and attends over the live rows -- everything cached
 is in the past, so no mask is needed. Once the tail reaches
 m' = ceil(1.1 m) rows, the oldest m of them collapse in place into one
 new aggregated row, weighted by the current query's softmax over those m
-keys; both softmaxes are the pooling that builds the prefill aggregates.
+keys; both softmaxes run on `attention._tile`, as the prefill aggregates
+and the grouped attend do.
 The ledger compares the cache and its dot product count against vanilla
 full attention; `decode-bench` writes the per-step trace.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROW_BLOCK, AttentionBatch
-from .dga import _attend, _pool, build_grouped_kv, compute_partition
+from .attention import _ROW_BLOCK, AttentionBatch, _tile
+from .dga import _attend, build_grouped_kv, compute_partition
 from .errors import InvalidInputError
 
 
@@ -114,15 +115,17 @@ def decode_step(
     state.rows += 1
     state.generated += 1
 
-    (out,) = _pool(state.cache[0, : state.rows], q, state.cache[1, : state.rows])
+    e, sums = _tile(q[None], [state.cache[0, : state.rows]])
+    out = e[0] @ state.cache[1, : state.rows] / sums[0]
     state.dots += state.rows
 
     m = state.m
     if state.tail_rows >= regroup_threshold(m):
         g = state.focal_rows + state.group_rows
-        members_k, members_v = state.cache[:, g : g + m]
+        members = state.cache[:, g : g + m]
+        e, sums = _tile(q[None], [members[0]])
         # The aggregate replaces the first member; leftover tail rows move up.
-        state.cache[:, g] = _pool(members_k, q, members_k, members_v)
+        state.cache[:, g] = e[0] @ members / sums[0]
         state.cache[:, g + 1 : state.rows - m + 1] = state.cache[:, g + m : state.rows]
         state.group_rows += 1
         state.rows -= m - 1

@@ -4,7 +4,7 @@ Pipeline: score each token by its causal attention weight averaged over
 every query row that sees it (exact) or over a sampled set of rows, split
 tokens into focal and non-focal sets, chunk the non-focal subsequence
 into blocks of m, pool each block's keys/values with the softmax of its
-last-position query (`_pool`, which decoding shares), and attend over
+last-position query (one batched `attention._tile`), and attend over
 
     [focal tokens | aggregated blocks | complement tokens]
 
@@ -111,7 +111,7 @@ def approx_importance_scores(
     for start in range(0, positions.size, _ROW_BLOCK):
         rows = positions[start : start + _ROW_BLOCK]
         end = rows[-1] + 1
-        e, sums = _tile(batch, rows, [batch.k[:end]], np.arange(rows[0] + 1, end), end)
+        e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end)
         col_sum[: e.shape[1]] += (1.0 / sums) @ e
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
@@ -148,18 +148,6 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     return TokenPartition(L, m, float(gamma), focal, groups, until)
 
 
-def _pool(keys: np.ndarray, q: np.ndarray, *values: np.ndarray) -> list:
-    """softmax(keys . q / sqrt(d)) over the key axis, applied to each value
-    stack: keys (..., n, d), q (..., d), stacks (..., n, d'). Returns one
-    (..., d') array per stack."""
-    w = (keys @ q[..., None])[..., 0]
-    w *= 1.0 / np.sqrt(q.shape[-1])
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    return [(w[..., None, :] @ v)[..., 0, :] for v in values]
-
-
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
     """(2, r + k, d) keys and values: the r focal rows in token order, then
     one row per block pooled with its last-position query's softmax.
@@ -167,10 +155,11 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
     groups, r = partition.groups, partition.r
-    members_k = batch.k[groups]
+    members_k, members_v = batch.k[groups], batch.v[groups]
+    e, sums = _tile(batch.q[groups[:, -1:]], [members_k])
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
-    rows[0, r:], rows[1, r:] = _pool(members_k, batch.q[groups[:, -1]], members_k, batch.v[groups])
+    rows[0, r:], rows[1, r:] = (e @ members_k)[:, 0] / sums, (e @ members_v)[:, 0] / sums
     return rows
 
 
@@ -204,8 +193,8 @@ def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) ->
         a = np.searchsorted(focal, lo)
         since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
         until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
-        e, sums = _tile(batch, np.arange(start, stop),
-                        [keys[:a], keys[r : r + b], batch.k[lo:stop]], since, until)
+        e, sums = _tile(batch.q[start:stop], [keys[:a], keys[r : r + b], batch.k[lo:stop]],
+                        np.arange(start, stop), since, until)
         o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
         o += e[:, a + b :] @ batch.v[lo:stop]
         out[start:stop] = o / sums[:, None]

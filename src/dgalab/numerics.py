@@ -35,16 +35,13 @@ def check_prob_vector(p) -> np.ndarray:
 
 def softmax(v) -> np.ndarray:
     """Max-shifted softmax; safe for arbitrarily large finite inputs."""
-    arr = _as_finite_vector(v)
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
+    return softmax_rows(_as_finite_vector(v))
 
 
 def softmax_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted softmax for a 2-D array."""
-    shifted = mat - mat.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Max-shifted softmax over the last axis."""
+    e = np.exp(mat - mat.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def project_to_simplex(v) -> np.ndarray:

@@ -68,13 +68,6 @@ def mixture_source() -> LogitSource:
     return LogitSource("mixture(p=0.1,mu=3.0,std=1.0)", draw)
 
 
-def constant_source(value: float) -> LogitSource:
-    def draw(rng, n, L):
-        return np.full((n, L), float(value))
-
-    return LogitSource(f"constant({value})", draw)
-
-
 def attention_source(d: int = 16) -> LogitSource:
     """Last-token logits K @ q / sqrt(d) of random Gaussian batches.
 

@@ -236,24 +236,33 @@ class TestGroupedKV:
             np.testing.assert_allclose(kv[1, part.r + g], batch.v[members[0]], atol=1e-15)
 
     def test_aggregates_match_loop_oracle(self):
+        """Each aggregate pools its block under the softmax of the block's
+        last query, also with logits past exp's overflow: each block's
+        query is scaled so that its largest |q . k| / sqrt(d) is the reach."""
         rng = np.random.default_rng(10)
-        batch = random_batch(rng, 12, 4)
-        part = compute_partition(batch, 3, 0.25)
-        kv = build_grouped_kv(batch, part)
+        base = random_batch(rng, 12, 4)
+        part = compute_partition(base, 3, 0.25)
         scale = 1.0 / np.sqrt(4)
-        for g, members in enumerate(part.groups):
-            logits = np.array(
-                [np.dot(batch.q[members[-1]], batch.k[j]) * scale for j in members]
-            )
-            e = np.exp(logits - logits.max())
-            p = e / e.sum()
-            want_k = sum(p[t] * batch.k[j] for t, j in enumerate(members))
-            want_v = sum(p[t] * batch.v[j] for t, j in enumerate(members))
-            np.testing.assert_allclose(kv[0, part.r + g], want_k, atol=1e-12)
-            np.testing.assert_allclose(kv[1, part.r + g], want_v, atol=1e-12)
-        # Constant values pool to themselves: each block's weights sum to one.
-        ones = build_grouped_kv(AttentionBatch(batch.q, batch.k, np.ones((12, 4))), part)
-        np.testing.assert_allclose(ones[1, part.r :], 1.0, rtol=0, atol=1e-12)
+        for reach in (1.0, 1000.0):
+            q = base.q.copy()
+            for members in part.groups:
+                last = members[-1]
+                q[last] *= reach / np.abs(base.k[members] @ q[last] * scale).max()
+            batch = AttentionBatch(q, base.k, base.v)
+            kv = build_grouped_kv(batch, part)
+            for g, members in enumerate(part.groups):
+                logits = np.array(
+                    [np.dot(batch.q[members[-1]], batch.k[j]) * scale for j in members]
+                )
+                e = np.exp(logits - logits.max())
+                p = e / e.sum()
+                want_k = sum(p[t] * batch.k[j] for t, j in enumerate(members))
+                want_v = sum(p[t] * batch.v[j] for t, j in enumerate(members))
+                np.testing.assert_allclose(kv[0, part.r + g], want_k, atol=1e-12)
+                np.testing.assert_allclose(kv[1, part.r + g], want_v, atol=1e-12)
+            # Constant values pool to themselves: each block's weights sum to one.
+            ones = build_grouped_kv(AttentionBatch(q, base.k, np.ones((12, 4))), part)
+            np.testing.assert_allclose(ones[1, part.r :], 1.0, rtol=0, atol=1e-12)
 
     def test_until_spans(self):
         """A grouped token's until is its block's last member; a focal

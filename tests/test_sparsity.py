@@ -6,8 +6,8 @@ import pytest
 from dgalab.errors import InvalidInputError
 from dgalab.rng import RngStream
 from dgalab.sparsity import (
+    LogitSource,
     attention_source,
-    constant_source,
     empirical_p_sparse,
     gaussian_source,
     mixture_source,
@@ -88,8 +88,9 @@ class TestLowerBound:
         at every x, either the head event (exp(c) <= x) or the tail event
         ((L rho - 1) x <= (L-1) exp(c)) holds, so the per-coordinate union
         probability is 1."""
+        source = LogitSource("constant(0.7)", lambda rng, n, L: np.full((n, L), 0.7))
         bound = p_sparse_lower_bound_detail(
-            constant_source(0.7), L=16, rho=0.5, trials=10_000, rng=RngStream(3)
+            source, L=16, rho=0.5, trials=10_000, rng=RngStream(3)
         ).bound
         assert bound == 0.0
 
