@@ -11,7 +11,9 @@ deterministic CSV files into --out:
   decode-bench  decode session trace and cost ledgers     -> decode_trace.csv, ledger_summary.csv
 
 Flags override an optional key=value --config file; identical seed and
-configuration produce byte-identical outputs.
+configuration produce byte-identical outputs. Every flag is resolved and
+checked against its minimum (see --help) before the subcommand runs, so a
+rejected run writes no file.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .coding import (
     solve_coding,
     verify_condition_numbers,
 )
-from .csvio import write_csv
 from .decode import decode_step, ledger, prefill, vanilla_ledger
 from .dga import build_group_mask, compute_partition, dga_attention_with_partition
-from .matrixio import dump_case
+from .matrixio import dump_case, write_csv
 from .oracles import mask_by_reachability, naive_causal_attention, naive_dga_attention
 from .rng import RngStream
 from .sparsity import named_source, sparsity_profile
@@ -76,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
-        for flag, (parse, _, flag_help) in flags.items():
+        for flag, (parse, _, low, flag_help) in flags.items():
+            if low is not None:
+                flag_help += f" (at least {low})"
             p.add_argument(f"--{flag}", type=parse, default=None, help=flag_help)
     return parser
 
@@ -84,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare(args) -> argparse.Namespace:
     """Resolve every flag of the subcommand: command-line value if given,
     else config value, else default. Adds the seeded stream as `rng`.
-    A config key that names no flag of the subcommand is an error."""
+    A config key that names no flag of the subcommand, a list flag with no
+    value and a value below its flag's minimum are errors, reported for the
+    first flag in table order."""
     cfg = load_config(args.config) if args.config is not None else {}
     flags = _COMMANDS[args.command][2]
     unknown = sorted(set(cfg) - set(flags))
@@ -93,24 +98,19 @@ def _prepare(args) -> argparse.Namespace:
             f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}"
         )
     values = {}
-    for key, (parse, default, _) in flags.items():
+    for key, (parse, default, low, _) in flags.items():
         given = getattr(args, key)
         if given is None:
             given = parse(cfg[key]) if key in cfg else default
+        if given == []:
+            raise ValueError(f"--{key} needs at least one value")
+        if low is not None and np.min(given) < low:
+            raise ValueError(f"--{key} must be at least {low}, got {given}")
         values[key] = given
     return argparse.Namespace(rng=RngStream(values["seed"]), **values)
 
 
-def _check_at_least(p, **lows) -> None:
-    """Reject a count flag, or any value of a list flag, below its minimum
-    before any file is written."""
-    for flag, low in lows.items():
-        if np.min(getattr(p, flag), initial=low) < low:
-            raise ValueError(f"--{flag} must be at least {low}, got {getattr(p, flag)}")
-
-
 def run_sparsity(p) -> int:
-    _check_at_least(p, L=1, trials=1, d=1)
     if not any(1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
         raise ValueError("no --rho value lies in (1/L, 1] for any --L")
     source = named_source(p.sampler, d=p.d)
@@ -123,7 +123,6 @@ def run_sparsity(p) -> int:
 
 
 def run_coding(p) -> int:
-    _check_at_least(p, L=1, d=1, instances=1, iters=1, m=1)
     L, d = p.L, p.d
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -158,7 +157,6 @@ def run_coding(p) -> int:
 
 
 def run_noise(p) -> int:
-    _check_at_least(p, L=1, d=1, trials=2, m=1)
     L, trials = p.L, p.trials
     for m in p.m:
         GroupStructure(L, m)  # an indivisible m exits 2 before any output
@@ -189,7 +187,6 @@ def run_noise(p) -> int:
 
 
 def run_dga_check(p) -> int:
-    _check_at_least(p, L=2, d=1, cases=1, m=1)
     m, gamma = p.m, p.gamma
     for case in range(p.cases):
         case_rng = p.rng.child(case)
@@ -235,7 +232,6 @@ def run_dga_check(p) -> int:
 
 
 def run_decode_bench(p) -> int:
-    _check_at_least(p, steps=0, d=1, L=1, m=1)
     batch = AttentionBatch(*p.rng.child(0).generator().standard_normal((3, p.L, p.d)))
     _, state = prefill(batch, p.m, p.gamma)
     gen = p.rng.child(1).generator()
@@ -271,53 +267,56 @@ def run_decode_bench(p) -> int:
 
 # Flags every subcommand takes besides --config.
 _COMMON = {
-    "seed": (int, 0, "base RNG seed"),
-    "out": (str, ".", "output directory"),
+    "seed": (int, 0, None, "base RNG seed"),
+    "out": (str, ".", None, "output directory"),
 }
 
-# subcommand -> (help, runner, {flag: (parse, default, help)}); the parser,
-# the flag > config > default resolution and main all read this one table.
+# subcommand -> (help, runner, {flag: (parse, default, minimum, help)}), with
+# minimum None for a flag that is not a count. The parser, its help, the
+# flag > config > default resolution, the minimum checks and main all read
+# this one table.
 _COMMANDS = {
     "sparsity": ("sparsity probabilities and bounds", run_sparsity, {
         **_COMMON,
-        "L": (_parse_int_list, [64, 128, 256], "context lengths, comma-separated"),
-        "rho": (_parse_float_list, [0.01, 0.02, 0.05], "sparse rates, comma-separated"),
-        "trials": (int, 10_000, "Monte Carlo sample count"),
-        "sampler": (str, "gaussian",
+        "L": (_parse_int_list, [64, 128, 256], 1, "context lengths, comma-separated"),
+        "rho": (_parse_float_list, [0.01, 0.02, 0.05], None, "sparse rates, comma-separated"),
+        "trials": (int, 10_000, 1, "Monte Carlo sample count"),
+        "sampler": (str, "gaussian", None,
                     "logit distribution family: gaussian, student_t, mixture or attention"),
-        "d": (int, 16, "embedding width for the attention sampler"),
+        "d": (int, 16, 1, "embedding width for the attention sampler"),
     }),
     "coding": ("condition numbers and solver traces", run_coding, {
         **_COMMON,
-        "L": (int, 16, "token count per instance"),
-        "d": (int, 32, "embedding width"),
-        "m": (_parse_int_list, [2, 4, 8], "group sizes, comma-separated"),
-        "instances": (int, 200, "random instances per group size"),
-        "iters": (int, 2000, "solver iterations for the trace"),
+        "L": (int, 16, 1, "token count per instance"),
+        "d": (int, 32, 1, "embedding width"),
+        "m": (_parse_int_list, [2, 4, 8], 1, "group sizes, comma-separated"),
+        "instances": (int, 200, 1, "random instances per group size"),
+        "iters": (int, 2000, 1, "solver iterations for the trace"),
     }),
     "noise": ("variance damping and KL drift under noise", run_noise, {
         **_COMMON,
-        "L": (int, 32, "logit vector length"),
-        "m": (_parse_int_list, [1, 2, 4, 8], "group sizes, comma-separated"),
-        "sigma": (_parse_float_list, [1e-4, 1e-3, 1e-2], "noise levels, comma-separated"),
-        "trials": (int, 20_000, "Monte Carlo trials"),
-        "d": (int, 8, "embedding width for the KL instance"),
+        # below 2 logits a softmax never moves; below 2 trials there is no variance
+        "L": (int, 32, 2, "logit vector length"),
+        "m": (_parse_int_list, [1, 2, 4, 8], 1, "group sizes, comma-separated"),
+        "sigma": (_parse_float_list, [1e-4, 1e-3, 1e-2], None, "noise levels, comma-separated"),
+        "trials": (int, 20_000, 2, "Monte Carlo trials"),
+        "d": (int, 8, 1, "embedding width for the KL instance"),
     }),
     "dga-check": ("oracle equivalence battery", run_dga_check, {
         **_COMMON,
-        "L": (int, 24, "maximum sequence length"),
-        "d": (int, 8, "maximum embedding width"),
-        "m": (int, 4, "group size"),
-        "gamma": (float, 0.25, "importance rate"),
-        "cases": (int, 25, "number of random cases"),
+        "L": (int, 24, 2, "maximum sequence length"),
+        "d": (int, 8, 1, "maximum embedding width"),
+        "m": (int, 4, 1, "group size"),
+        "gamma": (float, 0.25, None, "importance rate"),
+        "cases": (int, 25, 1, "number of random cases"),
     }),
     "decode-bench": ("decode trace and cost ledgers", run_decode_bench, {
         **_COMMON,
-        "L": (int, 64, "prompt length"),
-        "d": (int, 8, "embedding width"),
-        "m": (int, 4, "group size"),
-        "gamma": (float, 0.1, "importance rate"),
-        "steps": (int, 64, "decode steps"),
+        "L": (int, 64, 1, "prompt length"),
+        "d": (int, 8, 1, "embedding width"),
+        "m": (int, 4, 1, "group size"),
+        "gamma": (float, 0.1, None, "importance rate"),
+        "steps": (int, 64, 0, "decode steps"),
     }),
 }
 

@@ -212,6 +212,8 @@ def perturbation_variance(
     alpha = check_prob_vector(alpha)
     if not 0 <= j < alpha.size:
         raise InvalidInputError("index j out of range")
+    if not np.isfinite(sigma):
+        raise InvalidInputError("sigma must be finite")
     predicted = float(
         alpha[j] ** 2 * (1.0 + np.sum(alpha**2) - 2.0 * alpha[j]) * sigma**2
     )
@@ -231,8 +233,8 @@ def _plain_noise(alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream)
     that draw, the noisy softmax rows and the clean softmax."""
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
     groups = GroupStructure(alpha_tilde.size, m)
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise InvalidInputError("sigma must be positive and finite")
     gen = rng.generator()
     plain = sigma * gen.standard_normal((trials, alpha_tilde.size))
     return groups, gen, softmax_rows(alpha_tilde + plain), softmax(alpha_tilde)

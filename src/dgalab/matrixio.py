@@ -1,11 +1,14 @@
-"""Plain-text matrix serialization.
+"""Plain-text files: matrices (written and read back) and CSV tables.
 
-Format, one matrix per file::
+Matrix format, one matrix per file::
 
     MAT 1
     <rows> <cols>
     <row of cols space-separated floats, 17 significant digits>
     ...
+
+CSV format: a mandatory header row, comma separators, '.' decimal point,
+floats with 17 significant digits, true/false booleans, Unix newlines.
 
 Seventeen significant digits uniquely identify every finite double, so
 write -> read -> write is byte-stable and read -> write -> read is
@@ -26,6 +29,25 @@ _HEADER = "MAT 1"
 def format_float(x: float) -> str:
     """Shortest 17-significant-digit decimal form of a double."""
     return f"{x:.17g}"
+
+
+def format_value(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(float(v))
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the CSV, creating its directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def matrix_to_text(mat) -> str:

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batches import random_batch, scaled_batch
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.errors import InvalidInputError
 from dgalab.oracles import naive_causal_attention
-
-
-def random_batch(rng, L, d):
-    return AttentionBatch(
-        rng.normal(size=(L, d)), rng.normal(size=(L, d)), rng.normal(size=(L, d))
-    )
 
 
 class TestCausalAttention:
@@ -100,14 +95,6 @@ class TestCausalAttention:
 
 # Lengths across one or two 128-row tile boundaries.
 TILE_LENGTHS = st.one_of(st.sampled_from([127, 128, 129, 256, 257]), st.integers(120, 300))
-
-
-def scaled_batch(seed, L, d, reach):
-    """Gaussian Q/K/V with Q scaled so the largest |q.k| / sqrt(d) is reach."""
-    rng = np.random.default_rng(seed)
-    q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
-    q *= reach / np.abs(q @ k.T / np.sqrt(d)).max()
-    return AttentionBatch(q, k, v)
 
 
 # The double-loop oracle takes a few tenths of a second at L=300.

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dgalab.cli import build_parser, load_config, main
-from dgalab.csvio import write_csv
+from dgalab.cli import _COMMANDS, build_parser, load_config, main
+from dgalab.matrixio import write_csv
 
 
 def run(argv):
@@ -33,6 +33,13 @@ class TestParser:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text
+
+    def test_help_prints_each_minimum(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["noise", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "logit vector length (at least 2)" in text
+        assert "noise levels, comma-separated (at least" not in text
 
     def test_unknown_flag_rejected_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -66,6 +73,15 @@ class TestConfigFile:
         assert run(["sparsity", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "trails" in capsys.readouterr().err
+
+    def test_empty_list_key_is_usage_error(self, tmp_path, capsys):
+        """`m=` used to write two CSVs, then fail with an IndexError."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("m=\n")
+        out = tmp_path / "out"
+        assert run(["noise", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--m needs at least one value" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -275,18 +291,18 @@ class TestSubcommands:
         assert not out.exists()
         assert capsys.readouterr().err.count("--d must be at least 1") == 4
 
-    @pytest.mark.parametrize("argv", [
-        ["coding", "--m", "1", "--d", "4", "--instances", "2", "--iters", "5"],
-        ["noise", "--m", "1", "--trials", "10"],
-        ["decode-bench", "--d", "4", "--steps", "4"],
+    @pytest.mark.parametrize("argv,low", [
+        (["coding", "--m", "1", "--d", "4", "--instances", "2", "--iters", "5"], 1),
+        (["noise", "--m", "1", "--trials", "10"], 2),
+        (["decode-bench", "--d", "4", "--steps", "4"], 1),
     ], ids=["coding", "noise", "decode-bench"])
-    def test_zero_length_is_rejected(self, tmp_path, capsys, argv):
+    def test_zero_length_is_rejected(self, tmp_path, capsys, argv, low):
         """L = 0 failed inside the group check or the attention batch,
         not naming --L."""
         out = tmp_path / "out"
         assert run(argv + ["--L", "0", "--out", str(out)]) == 2
         assert not out.exists()
-        assert "--L must be at least 1" in capsys.readouterr().err
+        assert f"--L must be at least {low}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["coding", "--L", "8", "--d", "4", "--m", "2,0", "--instances", "2", "--iters", "5"],
@@ -301,6 +317,24 @@ class TestSubcommands:
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert "--m must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0.1,inf"])
+    def test_noise_rejects_a_non_finite_sigma(self, tmp_path, capsys, sigma):
+        """A NaN sigma used to write rows of nan and exit 0."""
+        out = tmp_path / "out"
+        assert run(["noise", "--L", "8", "--m", "2", f"--sigma={sigma}", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "sigma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["coding", "--m", "0", "--instances", "0"], "--m"),
+        (["noise", "--d", "0", "--m", "0"], "--m"),
+        (["decode-bench", "--steps", "-1", "--L", "0"], "--L"),
+    ], ids=["coding", "noise", "decode-bench"])
+    def test_first_bad_flag_in_table_order_is_named(self, tmp_path, capsys, argv, flag):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be at least")
 
     def test_byte_identical_reruns(self, tmp_path):
         """Same seed and flags give identical file bytes for every command."""
@@ -320,6 +354,30 @@ class TestSubcommands:
             assert run(argv + ["--seed", "11", "--out", str(d2)]) == 0
             for name in files:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _bad_flag_values():
+    """Each flag minimum in the table, given minimum - 1 (after a valid
+    value for a list flag), and each list flag given no value."""
+    for command, (_, _, flags) in _COMMANDS.items():
+        for flag, (_, default, low, _) in flags.items():
+            listed = isinstance(default, list)
+            if low is not None:
+                value = f"{low},{low - 1}" if listed else str(low - 1)
+                yield pytest.param(command, flag, value, f"--{flag} must be at least {low}, got",
+                                   id=f"{command}-{flag}={value}")
+            if listed:
+                yield pytest.param(command, flag, ",", f"--{flag} needs at least one value",
+                                   id=f"{command}-{flag}=,")
+
+
+@pytest.mark.parametrize("command,flag,value,message", _bad_flag_values())
+def test_every_bad_flag_value_is_rejected_before_any_output(
+        tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "out"
+    assert run([command, f"--{flag}={value}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_write_csv_accepts_a_bare_filename(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from dgalab.coding import (
     solve_coding,
     verify_condition_numbers,
 )
-from dgalab.csvio import write_csv
+from dgalab.matrixio import write_csv
 from dgalab.errors import InvalidInputError, StepTooLargeError
 from dgalab.numerics import softmax, sym_eigenvalues
 from dgalab.rng import RngStream
@@ -205,6 +205,11 @@ class TestPerturbationVariance:
             emp, pred = perturbation_variance(alpha, j, 1e-3, 10**5, RngStream(25).child(j))
             assert emp == pytest.approx(pred, rel=0.05)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="sigma must be finite"):
+            perturbation_variance(np.full(4, 0.25), 0, sigma, 10, RngStream(22))
+
 
 class TestGroupedVarianceRatio:
     def test_unit_groups_do_not_damp(self):
@@ -220,6 +225,13 @@ class TestGroupedVarianceRatio:
     def test_ambient_baseline_reported(self):
         ratio = ambient_variance_ratio(np.zeros(16), 4, 1e-3, 20_000, RngStream(28))
         assert 0.0 < ratio < 1.0
+
+    @pytest.mark.parametrize("ratio", [grouped_variance_ratio, ambient_variance_ratio])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1e-3])
+    def test_sigma_must_be_positive_and_finite(self, ratio, sigma):
+        """NaN passed the old sigma <= 0 check and wrote nan rows."""
+        with pytest.raises(InvalidInputError, match="sigma must be positive and finite"):
+            ratio(np.zeros(8), 2, sigma, 10, RngStream(29))
 
 
 class TestKlUnderNoise:

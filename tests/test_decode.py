@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batches import random_batch
 from dgalab.attention import AttentionBatch
 from dgalab.decode import (
     decode_step,
@@ -16,12 +17,6 @@ from dgalab.decode import (
 from dgalab.dga import compute_partition, dga_attention
 from dgalab.errors import InvalidInputError
 from dgalab.oracles import NaiveDecodeSession
-
-
-def random_batch(rng, L, d):
-    return AttentionBatch(
-        rng.normal(size=(L, d)), rng.normal(size=(L, d)), rng.normal(size=(L, d))
-    )
 
 
 def one_token_prefill(rng, d, m):

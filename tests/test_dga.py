@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batches import random_batch
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
     SampleSpec,
@@ -25,12 +26,6 @@ from dgalab.oracles import (
     naive_dga_attention,
 )
 from dgalab.rng import RngStream
-
-
-def random_batch(rng, L, d):
-    return AttentionBatch(
-        rng.normal(size=(L, d)), rng.normal(size=(L, d)), rng.normal(size=(L, d))
-    )
 
 
 def sampled_scores_oracle(weights, positions):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.control import current_build_context
 
+from batches import random_batch, scaled_batch
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
     SampleSpec,
@@ -21,12 +22,6 @@ from dgalab.dga import (
 from dgalab.matrixio import dump_case
 from dgalab.oracles import mask_by_reachability, naive_dga_attention
 from dgalab.rng import RngStream
-
-
-def random_batch(rng, L, d):
-    return AttentionBatch(
-        rng.normal(size=(L, d)), rng.normal(size=(L, d)), rng.normal(size=(L, d))
-    )
 
 
 def test_rows_across_block_boundaries_match_oracle_and_stay_causal():
@@ -47,14 +42,6 @@ def test_rows_across_block_boundaries_match_oracle_and_stay_causal():
             arrays[field][j] += 25.0
             pert = dga_attention_with_partition(AttentionBatch(*arrays), part)
             np.testing.assert_array_equal(pert[:j], base[:j])
-
-
-def scaled_batch(seed, L, d, reach):
-    """Gaussian Q/K/V with Q scaled so the largest |q.k| / sqrt(d) is reach."""
-    rng = np.random.default_rng(seed)
-    q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
-    q *= reach / np.abs(q @ k.T / np.sqrt(d)).max()
-    return AttentionBatch(q, k, v)
 
 
 @st.composite
