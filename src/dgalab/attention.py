@@ -7,9 +7,10 @@ a large finite sentinel, so their weight is exactly zero.
 One rule, `_visible`, decides what a query sees: column c is visible to
 row i iff since[c] <= i < until[c]; a key of exact attention is
 [its position, L). `_tile` lays queries' logits over several key blocks
-side by side, batched over leading axes, hides only its trailing band by
-that rule when given the rows' positions, and exponentiates after a max
-shift. `causal_attention` runs it on 128-row tiles over K[:last row + 1],
+side by side, batched over leading axes or for one (d,) query, scaling
+the queries (not the wider logits) by 1/sqrt(d), hides only its trailing
+band by that rule when given the rows' positions, and exponentiates after
+a max shift. `causal_attention` runs it on 128-row tiles over K[:last row + 1],
 so the weight matrix starts as zeros and nothing above its diagonal is
 ever written. `dga` scores, pools its block aggregates and attends
 through it, and `decode` attends and regroups through it.
@@ -71,9 +72,12 @@ def _visible(rows: np.ndarray, since, until) -> np.ndarray:
 def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) -> tuple:
     """(e, row sums), e = exp(logit - row max) of queries q (..., n, d) over
     the key blocks (..., len, d) laid side by side on the last axis, written
-    into out if given; leading axes batch. Given the sorted rows' positions,
-    the trailing since.size columns are hidden by _visible; every row sees
-    the columns before them."""
+    into out if given; leading axes batch, and one (d,) query gives (cols,)
+    weights and a scalar sum. q is scaled by 1/sqrt(d) before the products,
+    bit for bit the scaled logits when sqrt(d) is a power of two. Given the
+    sorted rows' positions, the trailing since.size columns are hidden by
+    _visible; every row sees the columns before them."""
+    q = q * (1.0 / math.sqrt(q.shape[-1]))
     if out is None:
         out = np.empty(q.shape[:-1] + (sum(block.shape[-2] for block in blocks),))
     col = 0
@@ -81,7 +85,6 @@ def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) ->
         width = block.shape[-2]
         np.matmul(q, block.swapaxes(-1, -2), out=out[..., col : col + width])
         col += width
-    out *= 1.0 / math.sqrt(q.shape[-1])
     if rows is not None:
         np.copyto(out[..., col - since.size :], -np.inf, where=~_visible(rows, since, until))
     out -= out.max(axis=-1, keepdims=True)

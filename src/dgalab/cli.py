@@ -194,36 +194,27 @@ def run_dga_check(p) -> int:
         L = int(gen.integers(2, p.L + 1))
         d = int(gen.integers(1, p.d + 1))
         batch = AttentionBatch(*case_rng.child(0).generator().standard_normal((3, L, d)))
-        failures = []
-
         partition = compute_partition(batch, m, gamma)
-        got = dga_attention_with_partition(batch, partition)
-        want = naive_dga_attention(batch, partition)
-        if np.abs(got - want).max() > 1e-12:
-            failures.append(("attention", got, want))
-        mask_got = build_group_mask(partition)
-        mask_want = mask_by_reachability(partition)
-        if np.abs(mask_got - mask_want).max() > 0:
-            failures.append(("mask", mask_got, mask_want))
-
-        exact = causal_attention(batch)
-        for got_exact, want_exact in zip(exact, naive_causal_attention(batch)):
-            if np.abs(got_exact - want_exact).max() > 1e-12:
-                failures.append(("causal", got_exact, want_exact))
-        degenerate = dga_attention_with_partition(batch, compute_partition(batch, m, 1.0))
-        if np.abs(degenerate - exact[0]).max() > 1e-10:
-            failures.append(("degenerate", degenerate, exact[0]))
-
+        exact, naive_exact = causal_attention(batch), naive_causal_attention(batch)
+        checks = [  # (kind, got, want, tolerance)
+            ("attention", dga_attention_with_partition(batch, partition),
+             naive_dga_attention(batch, partition), 1e-12),
+            ("mask", build_group_mask(partition), mask_by_reachability(partition), 0),
+            *(("causal", got, want, 1e-12) for got, want in zip(exact, naive_exact)),
+            ("degenerate", dga_attention_with_partition(batch, compute_partition(batch, m, 1.0)),
+             exact[0], 1e-10),
+        ]
+        # "not <= tol", never "> tol": a NaN difference compares False, and must fail.
+        failures = [check for check in checks if not np.abs(check[1] - check[2]).max() <= check[3]]
         if failures:
-            kind = failures[0][0]
-            dumped = dump_case(
-                p.out,
-                [("Q", batch.q), ("K", batch.k), ("V", batch.v),
-                 ("got", failures[0][1]), ("want", failures[0][2])],
-            )
+            kind, got, want, _ = failures[0]
+            named = [("Q", batch.q), ("K", batch.k), ("V", batch.v), ("got", got), ("want", want)]
+            skipped = [name for name, mat in named if not np.isfinite(mat).all()]
+            dumped = dump_case(p.out, [(name, mat) for name, mat in named if name not in skipped])
             print(
                 f"FAIL case {case} ({kind}, L={L}, d={d}, m={m}, gamma={gamma}); "
-                f"dumped {len(dumped)} matrices to {p.out}",
+                f"dumped {len(dumped)} matrices to {p.out}"
+                + (f"; skipped non-finite {', '.join(skipped)}" if skipped else ""),
                 file=sys.stderr,
             )
             return CHECK_FAILED

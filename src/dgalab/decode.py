@@ -2,13 +2,14 @@
 
 The whole cache is one growable (2, capacity, d) buffer of key and value
 rows, [focal | aggregated blocks | pending tail], seeded by prefill from
-the grouped attention layout. Each decode step writes the new token at
-the end of the tail and attends over the live rows -- everything cached
-is in the past, so no mask is needed. Once the tail reaches
-m' = ceil(1.1 m) rows, the oldest m of them collapse in place into one
-new aggregated row, weighted by the current query's softmax over those m
-keys; both softmaxes run on `attention._tile`, as the prefill aggregates
-and the grouped attend do.
+the grouped attention layout. Each decode step checks q, k and v once as
+one stacked array, writes the new token at the end of the tail and
+attends over the live rows -- everything cached is in the past, so no
+mask is needed. Once the tail reaches m' = ceil(1.1 m) rows (in integers,
+m + (m + 9) // 10), the oldest m of them collapse in place into one new
+aggregated row, weighted by the current query's softmax over those m
+keys; both softmaxes run on `attention._tile` with the single query, as
+the prefill aggregates and the grouped attend do with batches.
 The ledger compares the cache and its dot product count against vanilla
 full attention; `decode-bench` writes the per-step trace.
 """
@@ -25,8 +26,8 @@ from .errors import InvalidInputError
 
 
 def regroup_threshold(m: int) -> int:
-    """Tail length that triggers aggregation: ceil(1.1 m)."""
-    return int(np.ceil(1.1 * m - 1e-9))
+    """Tail length that triggers aggregation: ceil(1.1 m), exact in integers."""
+    return m + (m + 9) // 10
 
 
 @dataclass
@@ -100,36 +101,36 @@ def decode_step(
     collapsing the oldest m with weights softmax(q . K_member / sqrt(d));
     columns and member dots count towards `dots`. Invalid q/k/v change nothing.
     """
-    vecs = [np.asarray(x, dtype=np.float64).reshape(-1) for x in (q_new, k_new, v_new)]
-    if any(x.size != state.d for x in vecs):
-        raise InvalidInputError(f"q/k/v must have width {state.d}")
-    qkv = np.stack(vecs)
+    d = state.d
+    qkv = np.concatenate((q_new, k_new, v_new), axis=None, dtype=np.float64)
+    if qkv.size != 3 * d or np.size(q_new) != d or np.size(k_new) != d:
+        raise InvalidInputError(f"q/k/v must have width {d}")
     if not np.isfinite(qkv).all():
         raise InvalidInputError("q/k/v contain non-finite entries")
-    q = qkv[0]
-
-    if state.rows == state.cache.shape[1]:
-        grow = np.empty((2, state.rows, state.d))
-        state.cache = np.concatenate([state.cache, grow], axis=1)
-    state.cache[:, state.rows] = qkv[1:]
-    state.rows += 1
+    q, rows = qkv[:d], state.rows
+    if rows == state.cache.shape[1]:
+        state.cache = np.concatenate([state.cache, np.empty((2, rows, d))], axis=1)
+    cache = state.cache
+    cache[:, rows] = qkv[d:].reshape(2, d)
+    rows += 1
     state.generated += 1
 
-    e, sums = _tile(q[None], [state.cache[0, : state.rows]])
-    out = e[0] @ state.cache[1, : state.rows] / sums[0]
-    state.dots += state.rows
+    e, total = _tile(q, [cache[0, :rows]])
+    out = e @ cache[1, :rows] / total
+    state.dots += rows
 
     m = state.m
-    if state.tail_rows >= regroup_threshold(m):
-        g = state.focal_rows + state.group_rows
-        members = state.cache[:, g : g + m]
-        e, sums = _tile(q[None], [members[0]])
+    g = state.focal_rows + state.group_rows
+    if rows - g >= regroup_threshold(m):
+        members = cache[:, g : g + m]
+        e, total = _tile(q, [members[0]])
         # The aggregate replaces the first member; leftover tail rows move up.
-        state.cache[:, g] = e[0] @ members / sums[0]
-        state.cache[:, g + 1 : state.rows - m + 1] = state.cache[:, g + m : state.rows]
+        cache[:, g] = e @ members / total
+        cache[:, g + 1 : rows - m + 1] = cache[:, g + m : rows]
         state.group_rows += 1
-        state.rows -= m - 1
+        rows -= m - 1
         state.dots += m
+    state.rows = rows
     return out, state
 
 

@@ -102,17 +102,20 @@ def approx_importance_scores(
 
     Each sampled row p contributes its causal softmax over positions
     <= p; column i is averaged over the sampled rows that can see it.
-    Columns no sampled row can see score 0. Each causal tile of sorted
-    rows adds (1 / row sums) @ exp(logits) to the column sums.
+    Columns no sampled row can see score 0. Each causal tile of sorted rows,
+    written into the front of one buffer sized for the last and widest,
+    adds (1 / row sums) @ exp(logits) to the column sums.
     """
     L = batch.length
     positions = spec.positions(L, rng)
     col_sum = np.zeros(L)
+    buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
     for start in range(0, positions.size, _ROW_BLOCK):
         rows = positions[start : start + _ROW_BLOCK]
-        end = rows[-1] + 1
-        e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end)
-        col_sum[: e.shape[1]] += (1.0 / sums) @ e
+        n, end = rows.size, rows[-1] + 1
+        e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
+                        out=buf[: n * end].reshape(n, end))
+        col_sum[:end] += (1.0 / sums) @ e
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
     scores = np.zeros(L)

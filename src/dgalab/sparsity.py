@@ -13,7 +13,7 @@ exp(xi_k)} (if both fail, coordinate j already exceeds the threshold), so
 
 where the outer product step assumes the negative dependence of weights
 that share a normalizer. The guarantee is verified only for i.i.d. logit
-samplers; correlated sources are reported, never asserted.
+samplers; sources with dependent coordinates are reported, never asserted.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def mixture_source() -> LogitSource:
 def attention_source(d: int = 16) -> LogitSource:
     """Last-token logits K @ q / sqrt(d) of random Gaussian batches.
 
-    Coordinates are exchangeable but share the query vector, so they are
-    positively correlated; bound values for this source are reported only.
+    Given q the logits are i.i.d. N(0, |q|^2 / d): uncorrelated, and dependent
+    only through the shared |q|. Bound values for this source are reported only.
     """
 
     def draw(rng, n, L):

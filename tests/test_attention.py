@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batches import random_batch, scaled_batch
-from dgalab.attention import AttentionBatch, causal_attention
+from dgalab.attention import AttentionBatch, _tile, causal_attention
 from dgalab.errors import InvalidInputError
 from dgalab.oracles import naive_causal_attention
 
@@ -113,3 +113,35 @@ def test_causal_tiles_match_oracle_with_extreme_logits(L, d, reach, seed):
     np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
     assert np.all(weights[np.triu_indices(L, k=1)] == 0.0)
     np.testing.assert_allclose(weights.sum(axis=1), np.ones(L), rtol=0, atol=1e-12)
+
+
+@given(
+    st.one_of(st.just(1), st.integers(1, 96)),
+    st.lists(st.integers(0, 40), min_size=1, max_size=3).filter(any),
+    st.sampled_from([1.0, 30.0, 700.0, 1000.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_single_query_tile_is_row_zero_of_the_batched_tile(d, widths, reach, seed):
+    """A (d,) query returns (cols,) weights and a scalar sum, bit for bit the
+    (1, d) call's row 0, with |logits| up to reach."""
+    rng = np.random.default_rng(seed)
+    q, blocks = rng.normal(size=d), [rng.normal(size=(w, d)) for w in widths]
+    q *= reach / np.abs(np.vstack(blocks) @ q / np.sqrt(d)).max()
+    e, total = _tile(q, blocks)
+    e_rows, sums = _tile(q[None], blocks)
+    assert e.shape == (sum(widths),) and np.ndim(total) == 0
+    np.testing.assert_array_equal(e, e_rows[0])
+    assert total == sums[0]
+
+
+@pytest.mark.parametrize("d", [1, 4, 16, 64])
+def test_query_scaling_equals_logit_scaling_when_root_d_is_a_power_of_two(d):
+    """Multiplying by 1/sqrt(d) = 2^-j is exact, so scaling q before the
+    product gives the logits scaled after it, bit for bit."""
+    rng = np.random.default_rng(d)
+    q, keys = rng.normal(size=(5, d)) * 30, rng.normal(size=(7, d))
+    logits = (q @ keys.T) * (1.0 / np.sqrt(d))
+    e, sums = _tile(q, [keys])
+    want = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(e, want)
+    np.testing.assert_array_equal(sums, want.sum(axis=-1))

@@ -201,6 +201,27 @@ class TestSubcommands:
             assert (tmp_path / f"{name}.mat").exists()
         assert "FAIL case 0 (causal," in capsys.readouterr().err
 
+    def test_dga_check_fails_on_a_nan_output(self, tmp_path, monkeypatch, capsys):
+        """NaN compares False against the tolerance; it must still fail, and the
+        dump keeps every finite matrix and names the non-finite one it skips."""
+        import dgalab.cli as cli_mod
+        from dgalab.dga import dga_attention_with_partition as real
+
+        def nan_last_row(batch, partition):
+            out = real(batch, partition)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli_mod, "dga_attention_with_partition", nan_last_row)
+        code = run(["dga-check", "--seed", "7", "--cases", "3", "--out", str(tmp_path)])
+        assert code == cli_mod.CHECK_FAILED == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL case 0 (attention,")
+        assert "dumped 4 matrices" in err and err.rstrip().endswith("skipped non-finite got")
+        for name in ("Q", "K", "V", "want"):
+            assert (tmp_path / f"{name}.mat").exists()
+        assert not (tmp_path / "got.mat").exists()
+
     def test_decode_bench_trace_schema(self, tmp_path):
         assert run(["decode-bench", "--seed", "4", "--L", "32", "--d", "4", "--m", "4",
                     "--gamma", "0.1", "--steps", "12", "--out", str(tmp_path)]) == 0

@@ -32,6 +32,13 @@ class TestRegroupThreshold:
         assert regroup_threshold(16) == 18
         assert regroup_threshold(20) == 22
 
+    def test_integer_ceiling_of_eleven_tenths(self):
+        m = np.arange(1, 10**5 + 1)
+        np.testing.assert_array_equal(regroup_threshold(m), -(-11 * m // 10))
+        # ceil(1.1 * m - 1e-9) in floats returns 119576881700 here.
+        m = 108706256090
+        assert regroup_threshold(m) == -(-11 * m // 10) == 119576881699
+
 
 class TestPrefill:
     def test_single_token(self):
@@ -130,6 +137,46 @@ class TestDecodeStep:
         _, state = one_token_prefill(np.random.default_rng(14), 4, 2)
         with pytest.raises(InvalidInputError):
             decode_step(state, np.zeros(3), np.zeros(4), np.zeros(4))
+
+    def test_every_input_form_gives_identical_outputs(self):
+        """(d,) arrays, (1, d) arrays, lists and a mix of shapes with d entries."""
+        d = 4
+        steps = np.random.default_rng(16).normal(size=(12, 3, d))
+        forms = [lambda q, k, v: (q, k, v),
+                 lambda q, k, v: (q[None], k[None], v[None]),
+                 lambda q, k, v: (q.tolist(), k.tolist(), v.tolist()),
+                 lambda q, k, v: (q[None], k.tolist(), v[:, None])]
+        outs = []
+        for form in forms:
+            _, state = prefill(random_batch(np.random.default_rng(17), 8, d), 2, 0.25)
+            outs.append(np.array([decode_step(state, *form(*s))[0] for s in steps]))
+            assert state.group_rows > 2
+        for other in outs[1:]:
+            np.testing.assert_array_equal(other, outs[0])
+
+    def test_ragged_width_rejected_without_change(self):
+        """q, k or v of width d + 1 beside two of width d raises InvalidInputError,
+        not a bare numpy ValueError, and changes nothing."""
+        rng = np.random.default_rng(18)
+        _, state = prefill(random_batch(rng, 8, 4), 2, 0.25)
+        for _ in range(4):
+            decode_step(state, *rng.normal(size=(3, 4)))
+        for which in range(3):
+            _assert_rejected_without_change(state, 4, (which, "width"), rng)
+
+    @pytest.mark.parametrize("widths", [(5, 3, 4), (4, 4, 0), (1, 4, 4)],
+                             ids=["sizes-cancel", "v-empty", "q-one-entry"])
+    def test_each_vector_needs_d_entries(self, widths):
+        _, state = one_token_prefill(np.random.default_rng(19), 4, 2)
+        with pytest.raises(InvalidInputError, match="must have width 4"):
+            decode_step(state, *(np.zeros(w) for w in widths))
+        assert (state.rows, state.generated) == (1, 0)
+
+    def test_width_one_takes_scalars(self):
+        prompt = random_batch(np.random.default_rng(20), 3, 1)
+        outs = [decode_step(prefill(prompt, 2, 1.0)[1], *args)[0]
+                for args in ((0.5, -1.0, 2.0), (np.array([0.5]), [-1.0], np.array([[2.0]])))]
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestLedger:

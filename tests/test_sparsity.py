@@ -218,8 +218,9 @@ class TestSparsityProfile:
         assert sorted(report) == [(32, 0.5), (64, 0.5)]
 
     def test_attention_source_rows_are_reported(self):
-        """Correlated logits from random attention batches: values are
-        recorded but the bound guarantee is not asserted."""
+        """Logits of random attention batches, uncorrelated but dependent
+        through the shared |q|: values are recorded but the bound guarantee
+        is not asserted."""
         report = sparsity_profile(
             attention_source(d=8), [32], [0.25], trials=10_000, rng=RngStream(14)
         )
