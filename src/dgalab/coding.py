@@ -200,6 +200,11 @@ def first_order_delta_check(
     return big / small
 
 
+def _check_trials(trials: int, least: int) -> None:
+    if trials < least:
+        raise InvalidInputError(f"trials must be at least {least}; got {trials!r}")
+
+
 def perturbation_variance(
     alpha, j: int, sigma: float, trials: int, rng: RngStream
 ) -> tuple[float, float]:
@@ -214,6 +219,7 @@ def perturbation_variance(
         raise InvalidInputError("index j out of range")
     if not np.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
+    _check_trials(trials, 2)
     predicted = float(
         alpha[j] ** 2 * (1.0 + np.sum(alpha**2) - 2.0 * alpha[j]) * sigma**2
     )
@@ -235,6 +241,7 @@ def _plain_noise(alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream)
     groups = GroupStructure(alpha_tilde.size, m)
     if not 0 < sigma < np.inf:
         raise InvalidInputError("sigma must be positive and finite")
+    _check_trials(trials, 2)
     gen = rng.generator()
     plain = sigma * gen.standard_normal((trials, alpha_tilde.size))
     return groups, gen, softmax_rows(alpha_tilde + plain), softmax(alpha_tilde)
@@ -301,6 +308,10 @@ def kl_under_noise(
     """
     if groups.L != inst.length:
         raise InvalidInputError("group structure length mismatch")
+    _check_trials(trials, 1)
+    sigmas = [float(sigma) for sigma in sigma_list]
+    if not np.all(np.isfinite(sigmas)):
+        raise InvalidInputError("sigma must be finite")
     logits = inst.v @ inst.y
     block_logits = build_grouping_matrix(groups.L, groups.m) @ logits
     clean = softmax(logits)
@@ -314,8 +325,7 @@ def kl_under_noise(
         return float(np.mean((ps * (np.log(ps) - logq)).sum(axis=1)))
 
     rows = []
-    for si, sigma in enumerate(sigma_list):
-        sigma = float(sigma)
+    for si, sigma in enumerate(sigmas):
         gen = rng.child(si).generator()
         noisy = softmax_rows(logits + sigma * gen.standard_normal((trials, groups.L)))
         noisy_grouped = softmax_rows(

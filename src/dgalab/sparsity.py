@@ -71,20 +71,18 @@ def mixture_source() -> LogitSource:
 def attention_source(d: int = 16) -> LogitSource:
     """Last-token logits K @ q / sqrt(d) of random Gaussian batches.
 
-    Given q the logits are i.i.d. N(0, |q|^2 / d): uncorrelated, and dependent
-    only through the shared |q|. Bound values for this source are reported only.
+    Given q the logits are i.i.d. N(0, |q|^2 / d), dependent only through the
+    shared |q|. draw samples that law: q as one (n, d) array, then z as one
+    (n, L) array from the same generator, returning z * |q| / sqrt(d) from
+    n*(L + d) normals, not n*L*d. Bound values for this source are reported only.
     """
+    if d < 1:
+        raise InvalidInputError(f"d must be at least 1; got {d!r}")
 
     def draw(rng, n, L):
         gen = rng.generator()
-        out = np.empty((n, L))
-        block = max(1, _CHUNK_ENTRIES // (L * d))
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            keys = gen.standard_normal((stop - start, L, d))
-            queries = gen.standard_normal((stop - start, d))
-            out[start:stop] = np.einsum("nld,nd->nl", keys, queries) / np.sqrt(d)
-        return out
+        scale = np.linalg.norm(gen.standard_normal((n, d)), axis=1) / np.sqrt(d)
+        return gen.standard_normal((n, L)) * scale[:, None]
 
     return LogitSource(f"attention(d={d})", draw)
 
@@ -101,7 +99,13 @@ def named_source(name: str, d: int = 16) -> LogitSource:
     return table[name]()
 
 
+def _check_length(L: int) -> None:
+    if L < 1:
+        raise InvalidInputError(f"L must be at least 1; got {L!r}")
+
+
 def _check_rho(rho: float, L: int) -> float:
+    _check_length(L)
     rho = float(rho)
     if not (1.0 / L < rho <= 1.0):
         raise InvalidInputError(
@@ -113,9 +117,7 @@ def _check_rho(rho: float, L: int) -> float:
 def empirical_p_sparse(weight_rows, rho: float) -> float:
     """Fraction of weight rows that are rho-sparse, i.e. whose largest
     weight strictly exceeds 1/(L*rho); a single row gives 0.0 or 1.0."""
-    rows = np.asarray(weight_rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
+    rows = np.atleast_2d(np.asarray(weight_rows, dtype=np.float64))
     if rows.size == 0:
         raise InvalidInputError("no weight rows given")
     L = rows.shape[1]
@@ -125,6 +127,7 @@ def empirical_p_sparse(weight_rows, rho: float) -> float:
 
 def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> np.ndarray:
     """n softmaxed logit rows of length L from the source."""
+    _check_length(L)
     return softmax_rows(source.draw(rng, n, L))
 
 
@@ -132,13 +135,6 @@ def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> n
 class BoundDetail:
     bound: float
     standard_error: float
-
-
-def _logsumexp_rest(logits: np.ndarray) -> np.ndarray:
-    """log sum_{k != 0} exp(logits[:, k]) per row, overflow-safe."""
-    rest = logits[:, 1:]
-    m = rest.max(axis=1)
-    return m + np.log(np.exp(rest - m[:, None]).sum(axis=1))
 
 
 def p_sparse_lower_bound_detail(
@@ -169,13 +165,15 @@ def p_sparse_lower_bound_detail(
 
     log_thresh = np.log(L * rho - 1.0)
     block = max(1, _CHUNK_ENTRIES // L)
-    log_head = np.empty(trials)
-    log_tail = np.empty(trials)
+    log_head, log_tail = np.empty(trials), np.empty(trials)
     for start in range(0, trials, block):
         stop = min(trials, start + block)
         logits = source.draw(rng.child(start), stop - start, L)
         log_head[start:stop] = logits[:, 0]
-        log_tail[start:stop] = _logsumexp_rest(logits)
+        # log sum_{k != 0} exp(logits[:, k]), shifted by the row max
+        rest = logits[:, 1:]
+        peak = rest.max(axis=1)
+        log_tail[start:stop] = peak + np.log(np.exp(rest - peak[:, None]).sum(axis=1))
     if x_grid is None:
         lo, hi = np.percentile(log_head, [1.0, 99.0])
         grid_logs = np.linspace(lo, hi, 32)
@@ -206,6 +204,7 @@ def sparsity_profile(
     skipped. A repeated L is computed once, from the stream of its last
     occurrence in L_list.
     """
+    _check_length(min(L_list, default=1))
     cells = {}
     for L, li in {int(L): li for li, L in enumerate(L_list)}.items():
         cell_rng = rng.child(1000 + li)

@@ -28,6 +28,16 @@ def random_instance(rng, L, d):
     return CodingInstance(rng.normal(size=(L, d)), rng.normal(size=d))
 
 
+class NoDrawStream:
+    """Stands in for an RngStream where a check must reject the input first."""
+
+    def generator(self):
+        raise AssertionError("drew before rejecting the input")
+
+    def child(self, index):
+        return self
+
+
 class TestGroupingMatrix:
     def test_two_block_layout(self):
         want = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
@@ -208,7 +218,14 @@ class TestPerturbationVariance:
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(InvalidInputError, match="sigma must be finite"):
-            perturbation_variance(np.full(4, 0.25), 0, sigma, 10, RngStream(22))
+            perturbation_variance(np.full(4, 0.25), 0, sigma, 10, NoDrawStream())
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_fewer_than_two_trials_rejected(self, trials, sigma):
+        """One trial left numpy's ddof=1 variance at nan with a RuntimeWarning."""
+        with pytest.raises(InvalidInputError, match="trials must be at least 2"):
+            perturbation_variance(np.full(4, 0.25), 0, sigma, trials, NoDrawStream())
 
 
 class TestGroupedVarianceRatio:
@@ -231,7 +248,13 @@ class TestGroupedVarianceRatio:
     def test_sigma_must_be_positive_and_finite(self, ratio, sigma):
         """NaN passed the old sigma <= 0 check and wrote nan rows."""
         with pytest.raises(InvalidInputError, match="sigma must be positive and finite"):
-            ratio(np.zeros(8), 2, sigma, 10, RngStream(29))
+            ratio(np.zeros(8), 2, sigma, 10, NoDrawStream())
+
+    @pytest.mark.parametrize("ratio", [grouped_variance_ratio, ambient_variance_ratio])
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_fewer_than_two_trials_rejected(self, ratio, trials):
+        with pytest.raises(InvalidInputError, match="trials must be at least 2"):
+            ratio(np.zeros(8), 2, 1e-3, trials, NoDrawStream())
 
 
 class TestKlUnderNoise:
@@ -240,6 +263,20 @@ class TestKlUnderNoise:
         inst = random_instance(rng, 8, 4)
         rows = kl_under_noise(inst, GroupStructure(8, 2), [0.0], 100, RngStream(29))
         assert rows == [(0.0, 0.0, 0.0)]
+
+    def test_zero_trials_rejected(self):
+        """Zero trials averaged an empty slice into nan."""
+        inst = random_instance(np.random.default_rng(9), 8, 4)
+        with pytest.raises(InvalidInputError, match="trials must be at least 1"):
+            kl_under_noise(inst, GroupStructure(8, 2), [0.01], 0, NoDrawStream())
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected_before_any_draw(self, sigma):
+        """A nan sigma returned (nan, nan, nan); the finite sigma before it
+        in the list must not be drawn either."""
+        inst = random_instance(np.random.default_rng(9), 8, 4)
+        with pytest.raises(InvalidInputError, match="sigma must be finite"):
+            kl_under_noise(inst, GroupStructure(8, 2), [0.01, sigma], 10, NoDrawStream())
 
     def test_grouping_reduces_drift_on_uniform_logits(self):
         """With y = 0 every logit ties, and block noise moves the output

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgalab.errors import InvalidInputError
+from dgalab.numerics import softmax_rows
 from dgalab.rng import RngStream
 from dgalab.sparsity import (
     LogitSource,
@@ -158,6 +159,91 @@ class TestLowerBound:
             gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10)
         ).bound
         assert a == b
+
+
+def product_logits(gen, n, L, d):
+    """Reference for attention_source: K q / sqrt(d) from n*L*d key normals,
+    in row chunks so the (n, L, d) keys never sit in memory at once."""
+    out = np.empty((n, L))
+    for start in range(0, n, 1000):
+        rows = min(n, start + 1000) - start
+        keys = gen.standard_normal((rows, L, d))
+        queries = gen.standard_normal((rows, d))
+        out[start : start + rows] = np.einsum("nld,nd->nl", keys, queries) / np.sqrt(d)
+    return out
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / a.size
+    cdf_b = np.searchsorted(b, both, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_attention_draw_has_the_law_of_k_q(d):
+    """The closed-form draw z |q| / sqrt(d) matches K q / sqrt(d) in law.
+
+    KS at alpha = 0.001 on column 0 and on the softmax row maxima, and the
+    rho = 0.05 sparse rate within 4 combined standard errors. At d = 1 the
+    logits are a product of two normals, so dropping the |q| factor fails.
+    """
+    n, L, rho = 20_000, 64, 0.05
+    got = attention_source(d).draw(RngStream(40).child(d), n, L)
+    want = product_logits(np.random.default_rng(41 + d), n, L, d)
+    critical = 1.95 * np.sqrt(2.0 / n)
+    assert ks_statistic(got[:, 0], want[:, 0]) < critical
+    got_rows, want_rows = softmax_rows(got), softmax_rows(want)
+    assert ks_statistic(got_rows.max(axis=1), want_rows.max(axis=1)) < critical
+    p_got = empirical_p_sparse(got_rows, rho)
+    p_want = empirical_p_sparse(want_rows, rho)
+    se = np.sqrt((p_got * (1 - p_got) + p_want * (1 - p_want)) / n)
+    assert abs(p_got - p_want) <= 4.0 * se
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_attention_draw_shape(n):
+    logits = attention_source(4).draw(RngStream(42), n, 8)
+    assert logits.shape == (n, 8)
+    assert logits.dtype == np.float64
+
+
+def counting_source():
+    """A zero-logit source and the list of L values it was drawn at."""
+    calls = []
+
+    def draw(rng, n, L):
+        calls.append(L)
+        return np.zeros((n, L))
+
+    return LogitSource("counting", draw), calls
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_attention_width_below_one_rejected(d):
+    with pytest.raises(InvalidInputError, match="d must be at least 1"):
+        attention_source(d)
+
+
+@pytest.mark.parametrize("L", [0, -3])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda source, L: sample_weight_rows(source, L, 5, RngStream(43)),
+        lambda source, L: sparsity_profile(source, [16, L], [0.5], 10, RngStream(43)),
+        lambda source, L: p_sparse_lower_bound_detail(
+            source, L, 0.5, trials=10_000, rng=RngStream(43)
+        ),
+    ],
+    ids=["sample_weight_rows", "sparsity_profile", "p_sparse_lower_bound_detail"],
+)
+def test_length_below_one_rejected_before_any_draw(run, L):
+    source, calls = counting_source()
+    with pytest.raises(InvalidInputError, match="L must be at least 1"):
+        run(source, L)
+    assert calls == []
 
 
 def test_named_source_table():
