@@ -146,18 +146,14 @@ def solve_coding(
 
     n = basis.shape[0]
     alpha = np.full(n, 1.0 / n)
-
-    def objective(a):
-        r = basis.T @ a - inst.y
-        return float(r @ r)
-
-    obj = objective(alpha)
+    r = basis.T @ alpha - inst.y  # the residual serves both the objective and the gradient
+    obj = float(r @ r)
     limit = 1e10 * max(obj, 1e-30)
     iterates = [(0, obj)]
     for it in range(1, iters + 1):
-        grad = 2.0 * (basis @ (basis.T @ alpha - inst.y))
-        alpha = project_to_simplex(alpha - step * grad)
-        obj = objective(alpha)
+        alpha = project_to_simplex(alpha - step * (2.0 * (basis @ r)))
+        r = basis.T @ alpha - inst.y
+        obj = float(r @ r)
         if obj > limit:
             raise StepTooLargeError(
                 f"objective grew to {obj:.3e} at iteration {it}; reduce step"

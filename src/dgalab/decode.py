@@ -10,8 +10,8 @@ m + (m + 9) // 10), the oldest m of them collapse in place into one new
 aggregated row, weighted by the current query's softmax over those m
 keys; both softmaxes run on `attention._tile` with the single query, as
 the prefill aggregates and the grouped attend do with batches.
-The ledger compares the cache and its dot product count against vanilla
-full attention; `decode-bench` writes the per-step trace.
+The ledger counts the cache and its dot products; `decode-bench` writes
+them beside vanilla full attention's, and the per-step trace.
 """
 
 from __future__ import annotations
@@ -143,13 +143,4 @@ def ledger(state: DecoderState) -> ComplexityLedger:
         per_token_columns=state.rows,
         cache_entries=state.rows,
         score_dot_products=state.dots,
-    )
-
-
-def vanilla_ledger(L: int) -> ComplexityLedger:
-    """Full-attention baseline: every token attends all L positions."""
-    if L < 0:
-        raise InvalidInputError("L must be nonnegative")
-    return ComplexityLedger(
-        per_token_columns=L, cache_entries=L, score_dot_products=L * L
     )

@@ -128,6 +128,8 @@ def empirical_p_sparse(weight_rows, rho: float) -> float:
 def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> np.ndarray:
     """n softmaxed logit rows of length L from the source."""
     _check_length(L)
+    if n < 0:
+        raise InvalidInputError(f"n must be nonnegative; got {n!r}")
     return softmax_rows(source.draw(rng, n, L))
 
 
@@ -205,6 +207,8 @@ def sparsity_profile(
     occurrence in L_list.
     """
     _check_length(min(L_list, default=1))
+    if trials < 1:
+        raise InvalidInputError(f"trials must be at least 1; got {trials!r}")
     cells = {}
     for L, li in {int(L): li for li, L in enumerate(L_list)}.items():
         cell_rng = rng.child(1000 + li)

@@ -203,7 +203,7 @@ class TestSubcommands:
 
     def test_dga_check_fails_on_a_nan_output(self, tmp_path, monkeypatch, capsys):
         """NaN compares False against the tolerance; it must still fail, and the
-        dump keeps every finite matrix and names the non-finite one it skips."""
+        dump writes all five matrices, the NaN output included."""
         import dgalab.cli as cli_mod
         from dgalab.dga import dga_attention_with_partition as real
 
@@ -217,10 +217,12 @@ class TestSubcommands:
         assert code == cli_mod.CHECK_FAILED == 1
         err = capsys.readouterr().err
         assert err.startswith("FAIL case 0 (attention,")
-        assert "dumped 4 matrices" in err and err.rstrip().endswith("skipped non-finite got")
+        assert err.rstrip().endswith(f"dumped 5 matrices to {tmp_path}")
         for name in ("Q", "K", "V", "want"):
             assert (tmp_path / f"{name}.mat").exists()
-        assert not (tmp_path / "got.mat").exists()
+        got = np.loadtxt(tmp_path / "got.mat", skiprows=2, ndmin=2)
+        assert np.isnan(got[-1]).all() and np.isfinite(got[:-1]).all()
+        assert set((tmp_path / "got.mat").read_text().splitlines()[-1].split()) == {"nan"}
 
     def test_decode_bench_trace_schema(self, tmp_path):
         assert run(["decode-bench", "--seed", "4", "--L", "32", "--d", "4", "--m", "4",
@@ -238,7 +240,11 @@ class TestSubcommands:
             assert row[4] == prev[5] + 1
         assert any(row[2] > prev[2] for prev, row in zip(rows, rows[1:]))  # a regroup
         summary = (tmp_path / "ledger_summary.csv").read_text().splitlines()
-        assert summary[0].startswith("tokens,dga_columns,vanilla_columns")
+        assert summary[0] == ("tokens,dga_columns,vanilla_columns,dga_cache,vanilla_cache,"
+                              "dga_dots,vanilla_dots")
+        tokens, _, columns, _, cache, _, dots = (int(tok) for tok in summary[1].split(","))
+        assert tokens == 32 + 12
+        assert (columns, cache, dots) == (tokens, tokens, tokens * tokens)
 
     def test_decode_bench_rejects_negative_steps(self, tmp_path, capsys):
         out = tmp_path / "out"

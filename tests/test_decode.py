@@ -12,7 +12,6 @@ from dgalab.decode import (
     ledger,
     prefill,
     regroup_threshold,
-    vanilla_ledger,
 )
 from dgalab.dga import compute_partition, dga_attention
 from dgalab.errors import InvalidInputError
@@ -58,10 +57,9 @@ class TestPrefill:
         _, state = prefill(random_batch(rng, L, 4), 4, 1.0)
         assert state.focal_rows == L
         led = ledger(state)
-        van = vanilla_ledger(L)
-        assert led.per_token_columns == van.per_token_columns
-        assert led.cache_entries == van.cache_entries
-        assert led.score_dot_products == van.score_dot_products
+        assert led.per_token_columns == L
+        assert led.cache_entries == L
+        assert led.score_dot_products == L * L
 
     def test_cache_counts_match_partition_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -213,12 +211,6 @@ class TestLedger:
             _, state = prefill(batch, m, gamma)
             sizes.append(ledger(state).cache_entries)
         assert sizes[0] > sizes[1] > sizes[2]
-
-    def test_vanilla_counts(self):
-        van = vanilla_ledger(100)
-        assert van.per_token_columns == 100
-        assert van.cache_entries == 100
-        assert van.score_dot_products == 100 * 100
 
     def test_regroup_dots_are_counted(self):
         """A regroup step also pays the m member dot products of its softmax."""

@@ -379,26 +379,23 @@ class TestDgaAttention:
         np.testing.assert_array_equal(a, b)
 
     def test_matrix_file_pipeline_round_trip(self, tmp_path):
-        """Q/K/V read from the text format drive the pipeline; outputs and
-        the 0/1 mask write back in the same format without loss."""
-        from dgalab.matrixio import read_matrix, write_matrix
+        """Q/K/V read from dumped matrix files drive the pipeline; outputs
+        and the 0/1 mask dump and read back without loss."""
+        from dgalab.matrixio import dump_case
+
+        def load(name):
+            return np.loadtxt(tmp_path / f"{name}.mat", skiprows=2, ndmin=2)
 
         rng = np.random.default_rng(22)
         batch = random_batch(rng, 12, 4)
-        for name, mat in [("Q", batch.q), ("K", batch.k), ("V", batch.v)]:
-            write_matrix(tmp_path / f"{name}.mat", mat)
-        loaded = AttentionBatch(
-            read_matrix(tmp_path / "Q.mat"),
-            read_matrix(tmp_path / "K.mat"),
-            read_matrix(tmp_path / "V.mat"),
-        )
+        dump_case(tmp_path, [("Q", batch.q), ("K", batch.k), ("V", batch.v)])
+        loaded = AttentionBatch(load("Q"), load("K"), load("V"))
         part = compute_partition(loaded, 3, 0.25)
         out = dga_attention_with_partition(loaded, part)
         np.testing.assert_array_equal(out, dga_attention(batch, 3, 0.25))
-        write_matrix(tmp_path / "out.mat", out)
-        np.testing.assert_array_equal(read_matrix(tmp_path / "out.mat"), out)
         mask = build_group_mask(part)
-        write_matrix(tmp_path / "mask.mat", mask)
+        dump_case(tmp_path, [("out", out), ("mask", mask)])
+        np.testing.assert_array_equal(load("out"), out)
         body = (tmp_path / "mask.mat").read_text().splitlines()[2:]
         assert all(set(line.split()) <= {"0", "1"} for line in body)
-        np.testing.assert_array_equal(read_matrix(tmp_path / "mask.mat"), mask)
+        np.testing.assert_array_equal(load("mask"), mask)

@@ -246,6 +246,27 @@ def test_length_below_one_rejected_before_any_draw(run, L):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda source: sample_weight_rows(source, 8, -1, RngStream(44)),
+         "n must be nonnegative"),
+        (lambda source: sparsity_profile(source, [16], [0.5], 0, RngStream(44)),
+         "trials must be at least 1"),
+        (lambda source: sparsity_profile(source, [16], [0.5], -2, RngStream(44)),
+         "trials must be at least 1"),
+    ],
+    ids=["sample_weight_rows_n=-1", "sparsity_profile_trials=0", "sparsity_profile_trials=-2"],
+)
+def test_row_count_below_minimum_rejected_before_any_draw(run, message):
+    """Negative counts used to reach numpy ("negative dimensions are not
+    allowed"), and trials=0 drew first and only then failed."""
+    source, calls = counting_source()
+    with pytest.raises(InvalidInputError, match=message):
+        run(source)
+    assert calls == []
+
+
 def test_named_source_table():
     """The four CLI names map to their sources; d reaches the attention one."""
     assert named_source("gaussian").name == gaussian_source().name
