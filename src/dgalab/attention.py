@@ -13,12 +13,17 @@ band by that rule when given the rows' positions, and exponentiates after
 a max shift. `causal_attention` runs it on 128-row tiles over K[:last row + 1],
 so the weight matrix starts as zeros and nothing above its diagonal is
 ever written. `dga` scores, pools its block aggregates and attends
-through it, and `decode` attends and regroups through it.
+through it, and `decode` attends and regroups through it. `_in_shares`
+spreads the causal tiles, here and in `dga`'s scorer, over the process's
+CPUs: numpy drops the interpreter lock inside a tile, and no two tiles
+write one array.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 _ROW_BLOCK = 128  # query rows per causal tile: memory O(B L)
+_SHARE_TILES = 3  # fewest tiles per thread: a split of 2 or 3 tiles ran no faster
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,30 @@ def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) ->
     return out, out.sum(axis=-1)
 
 
+def _shares(tiles: int, workers: int) -> list[list[int]]:
+    """range(tiles) dealt from the last tile down to min(workers, tiles) shares
+    in snake order (0, 1, 1, 0, 0, 1, ...): a tile's cost grows with its last
+    row, so share costs differ by at most the largest tile's."""
+    lap = 2 * min(workers, tiles)
+    owner = [min(n % lap, lap - 1 - n % lap) for n in range(tiles - 1, -1, -1)]
+    return [[t for t in range(tiles) if owner[t] == s] for s in range(lap // 2)]
+
+
+def _in_shares(tiles: int, run_share) -> None:
+    """run_share(tile indices) for each of the _shares of range(tiles), one per
+    CPU of the process but at least _SHARE_TILES tiles each: the first on this
+    thread, the rest on a pool closed before return. One share is the plain
+    loop and starts no thread."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    first, *rest = _shares(tiles, max(1, min(cpus or 1, tiles // _SHARE_TILES)))
+    if not rest:
+        return run_share(first)
+    with ThreadPoolExecutor(len(rest)) as pool:
+        results = pool.map(run_share, rest)
+        run_share(first)
+        list(results)  # re-raises a worker's exception
+
+
 def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per-token attention output and the full causal weight matrix.
 
@@ -102,11 +132,15 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
     """
     L = batch.length
     out, weights = np.empty_like(batch.q), np.zeros((L, L))
-    for start in range(0, L, _ROW_BLOCK):
-        end = min(start + _ROW_BLOCK, L)
-        rows = np.arange(start, end)
-        tile, sums = _tile(batch.q[start:end], [batch.k[:end]], rows, rows[1:], end,
-                           out=weights[start:end, :end])
-        tile /= sums[:, None]
-        out[start:end] = tile @ batch.v[:end]
+
+    def run_share(tiles):
+        for start in (t * _ROW_BLOCK for t in tiles):
+            end = min(start + _ROW_BLOCK, L)
+            rows = np.arange(start, end)
+            tile, sums = _tile(batch.q[start:end], [batch.k[:end]], rows, rows[1:], end,
+                               out=weights[start:end, :end])
+            tile /= sums[:, None]
+            out[start:end] = tile @ batch.v[:end]
+
+    _in_shares(-(-L // _ROW_BLOCK), run_share)
     return out, weights

@@ -14,7 +14,9 @@ is [last member, L) and a raw member j is [j, last member), so a query
 inside a block sees the members up to itself, and the aggregate once the
 block is past: no future token leaks, no past token is lost or counted
 twice. Attention runs `attention._tile` over tiles of 64 query rows; the
-raw members of every block a tile straddles lie in one token window.
+raw members of every block a tile straddles lie in one token window. Only
+the scorer's tiles are spread over CPUs (`attention._in_shares`): the
+attend's small tiles spend most of their time in Python, under its lock.
 `build_group_mask` renders the rule as the dense L x (r + k + m) mask
 that `dga-check` and the oracle tests compare.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROW_BLOCK, AttentionBatch, _tile, _visible
+from .attention import _ROW_BLOCK, AttentionBatch, _in_shares, _tile, _visible
 from .errors import InvalidInputError
 from .rng import RngStream
 
@@ -103,19 +105,27 @@ def approx_importance_scores(
     Each sampled row p contributes its causal softmax over positions
     <= p; column i is averaged over the sampled rows that can see it.
     Columns no sampled row can see score 0. Each causal tile of sorted rows,
-    written into the front of one buffer sized for the last and widest,
-    adds (1 / row sums) @ exp(logits) to the column sums.
+    written into the front of one buffer per _in_shares share sized for the
+    last and widest, gives (1 / row sums) @ exp(logits); they are added to
+    the column sums in tile order, whatever the worker count.
     """
     L = batch.length
     positions = spec.positions(L, rng)
+    parts = [None] * -(-positions.size // _ROW_BLOCK)
+
+    def run_share(tiles):
+        buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
+        for t in tiles:
+            rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
+            n, end = rows.size, rows[-1] + 1
+            e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
+                            out=buf[: n * end].reshape(n, end))
+            parts[t] = (1.0 / sums) @ e
+
+    _in_shares(len(parts), run_share)
     col_sum = np.zeros(L)
-    buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
-    for start in range(0, positions.size, _ROW_BLOCK):
-        rows = positions[start : start + _ROW_BLOCK]
-        n, end = rows.size, rows[-1] + 1
-        e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
-                        out=buf[: n * end].reshape(n, end))
-        col_sum[:end] += (1.0 / sums) @ e
+    for part in parts:
+        col_sum[: part.size] += part
     # positions is sorted, so rows seeing column i are those with p >= i.
     visible = positions.size - np.searchsorted(positions, np.arange(L))
     scores = np.zeros(L)

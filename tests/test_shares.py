@@ -1,0 +1,121 @@
+"""The causal tile loops spread over worker threads: the split, bit-identical
+outputs at every worker count, concurrent callers and a failing tile."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from batches import random_batch
+from dgalab import attention
+from dgalab.attention import _shares, causal_attention
+from dgalab.dga import SampleSpec, approx_importance_scores, importance_scores_exact
+from dgalab.rng import RngStream
+
+
+def _set_workers(monkeypatch, workers, share_tiles=1):
+    monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    monkeypatch.setattr(attention, "_SHARE_TILES", share_tiles)
+
+
+def test_shares_cover_every_tile_once_and_balance_tile_ends():
+    for tiles in range(1, 41):
+        for workers in range(1, 9):
+            shares = _shares(tiles, workers)
+            assert sorted(t for share in shares for t in share) == list(range(tiles))
+            assert len(shares) == min(workers, tiles) and all(shares)
+            assert all(share == sorted(share) for share in shares)
+            # Tile t's cost grows with its end row, t + 1 in tile units.
+            work = [sum(t + 1 for t in share) for share in shares]
+            assert max(work) - min(work) <= tiles, (tiles, workers, shares)
+
+
+@pytest.mark.parametrize("L, want", [(1, 1), (384, 1), (640, 1), (641, 2), (5000, 8)])
+def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
+    _set_workers(monkeypatch, 8, attention._SHARE_TILES)
+    real_shares, workers = attention._shares, []
+
+    def spy(tiles, w):
+        workers.append(w)
+        return real_shares(tiles, w)
+
+    monkeypatch.setattr(attention, "_shares", spy)
+    causal_attention(random_batch(np.random.default_rng(0), L, 2))
+    assert workers == [want]
+
+
+def _outputs(L):
+    batch = random_batch(np.random.default_rng(L), L, 8)
+    out, weights = causal_attention(batch)
+    got = {"out": out, "weights": weights, "exact": importance_scores_exact(batch)}
+    if L >= 240:
+        got["sampled"] = approx_importance_scores(batch, SampleSpec(40, 200), RngStream(L))
+    return got
+
+
+@pytest.mark.parametrize("L", [129, 300, 600, 1000])
+def test_outputs_are_bit_identical_at_every_worker_count(monkeypatch, L):
+    _set_workers(monkeypatch, 1)
+    want = _outputs(L)
+    real_tile, threads = attention._tile, set()
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_tile(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "_tile", spy)
+    for workers in (1, 2, 3, 5):
+        _set_workers(monkeypatch, workers)
+        threads.clear()
+        got = _outputs(L)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (workers, name)
+        # One share runs on the calling thread alone; more shares add at
+        # least one pool thread, which may take several shares.
+        assert len(threads) == 1 if workers == 1 else len(threads) >= 2
+
+
+def test_concurrent_callers_share_no_buffer(monkeypatch):
+    _set_workers(monkeypatch, 3)
+    batches = [random_batch(np.random.default_rng(seed), 300, 16) for seed in range(4)]
+    want = [(*causal_attention(b), importance_scores_exact(b)) for b in batches]
+    got = [None] * len(batches)
+
+    def run(i):
+        for _ in range(5):
+            got[i] = (*causal_attention(batches[i]), importance_scores_exact(batches[i]))
+            if not all(np.array_equal(g, w) for g, w in zip(got[i], want[i])):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for g, w in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
+@pytest.mark.parametrize("L", [256, 300])  # tile 1 on the calling thread, then on a worker
+def test_failing_tile_raises_and_leaves_no_thread(monkeypatch, L):
+    _set_workers(monkeypatch, 2)
+    real_tile = attention._tile
+
+    def failing(q, blocks, rows=None, *args, **kwargs):
+        if rows is not None and rows[0] == 128:
+            raise RuntimeError("tile at row 128")
+        return real_tile(q, blocks, rows, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "_tile", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="tile at row 128"):
+        causal_attention(random_batch(np.random.default_rng(0), L, 4))
+    assert threading.active_count() == before
