@@ -1,8 +1,8 @@
 """Exact causal self-attention, and the tile kernel all attention shares.
 
-This is the correctness oracle for the grouped pipeline and the weight
-source for sparsity studies. Hidden positions get a logit of -inf, never
-a large finite sentinel, so their weight is exactly zero.
+This is the correctness oracle for the grouped pipeline. Hidden positions
+get a logit of -inf, never a large finite sentinel, so their weight is
+exactly zero.
 
 One rule, `_visible`, decides what a query sees: column c is visible to
 row i iff since[c] <= i < until[c]; a key of exact attention is
@@ -10,13 +10,12 @@ row i iff since[c] <= i < until[c]; a key of exact attention is
 side by side, batched over leading axes or for one (d,) query, scaling
 the queries (not the wider logits) by 1/sqrt(d), hides only its trailing
 band by that rule when given the rows' positions, and exponentiates after
-a max shift. `causal_attention` runs it on 128-row tiles over K[:last row + 1],
-so the weight matrix starts as zeros and nothing above its diagonal is
-ever written. `dga` scores, pools its block aggregates and attends
-through it, and `decode` attends and regroups through it. `_in_shares`
-spreads the causal tiles, here and in `dga`'s scorer, over the process's
-CPUs: numpy drops the interpreter lock inside a tile, and no two tiles
-write one array.
+a max shift. `_causal_tiles` is the one causal tile loop: it runs `_tile`
+on 128-row tiles of sorted query positions over K[:last row + 1], spread
+over the process's CPUs. `causal_attention` writes its tiles into a weight
+matrix that starts as zeros, so nothing above its diagonal is ever
+written; `dga`'s scorer is the loop's other caller. `dga`'s pooling and
+grouped attend, and each decode step, call `_tile` directly.
 """
 
 from __future__ import annotations
@@ -107,19 +106,37 @@ def _shares(tiles: int, workers: int) -> list[list[int]]:
     return [[t for t in range(tiles) if owner[t] == s] for s in range(lap // 2)]
 
 
-def _in_shares(tiles: int, run_share) -> None:
-    """run_share(tile indices) for each of the _shares of range(tiles), one per
-    CPU of the process but at least _SHARE_TILES tiles each: the first on this
-    thread, the rest on a pool closed before return. One share is the plain
-    loop and starts no thread."""
+def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit, weights=None) -> list:
+    """[visit(rows, e, sums)] in tile order over the causal tiles of the sorted
+    positions: _ROW_BLOCK rows over K[:last row + 1], band hidden by _tile, e in
+    weights[rows, :end] if given (positions then run 0, 1, ...), else in one
+    buffer per share. The tiles' _shares, one per CPU but at least _SHARE_TILES
+    tiles each, run first on this thread, the rest on a pool closed on return.
+    numpy drops the interpreter lock in a tile; visit writes only its own tile."""
+    parts = [None] * -(-positions.size // _ROW_BLOCK)
+
+    def run_share(tiles):
+        if weights is None:
+            buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
+        for t in tiles:
+            rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
+            n, end = rows.size, rows[-1] + 1
+            out = (buf[: n * end].reshape(n, end) if weights is None
+                   else weights[rows[0] : end, :end])
+            e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
+                            out=out)
+            parts[t] = visit(rows, e, sums)
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    first, *rest = _shares(tiles, max(1, min(cpus or 1, tiles // _SHARE_TILES)))
+    first, *rest = _shares(len(parts), max(1, min(cpus or 1, len(parts) // _SHARE_TILES)))
     if not rest:
-        return run_share(first)
-    with ThreadPoolExecutor(len(rest)) as pool:
-        results = pool.map(run_share, rest)
         run_share(first)
-        list(results)  # re-raises a worker's exception
+    else:
+        with ThreadPoolExecutor(len(rest)) as pool:
+            results = pool.map(run_share, rest)
+            run_share(first)
+            list(results)  # re-raises a worker's exception
+    return parts
 
 
 def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -127,20 +144,14 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (out, weights): out[i] = sum_{j<=i} weights[i, j] * V[j] with
     weights[i, :i+1] the softmax of Q_i . K_j / sqrt(d) over past positions
-    and exact zeros elsewhere. Tiles of _ROW_BLOCK rows are written into
-    weights[rows, :end], which starts as zeros, and normalized in place.
+    and exact zeros elsewhere. The _causal_tiles are written into weights,
+    which starts as zeros, and normalized in place.
     """
-    L = batch.length
-    out, weights = np.empty_like(batch.q), np.zeros((L, L))
+    out, weights = np.empty_like(batch.q), np.zeros((batch.length, batch.length))
 
-    def run_share(tiles):
-        for start in (t * _ROW_BLOCK for t in tiles):
-            end = min(start + _ROW_BLOCK, L)
-            rows = np.arange(start, end)
-            tile, sums = _tile(batch.q[start:end], [batch.k[:end]], rows, rows[1:], end,
-                               out=weights[start:end, :end])
-            tile /= sums[:, None]
-            out[start:end] = tile @ batch.v[:end]
+    def visit(rows, e, sums):
+        e /= sums[:, None]
+        out[rows[0] : rows[-1] + 1] = e @ batch.v[: rows[-1] + 1]
 
-    _in_shares(-(-L // _ROW_BLOCK), run_share)
+    _causal_tiles(batch, np.arange(batch.length), visit, weights)
     return out, weights

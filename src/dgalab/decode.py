@@ -7,9 +7,9 @@ one stacked array, writes the new token at the end of the tail and
 attends over the live rows -- everything cached is in the past, so no
 mask is needed. Once the tail reaches m' = ceil(1.1 m) rows (in integers,
 m + (m + 9) // 10), the oldest m of them collapse in place into one new
-aggregated row, weighted by the current query's softmax over those m
-keys; both softmaxes run on `attention._tile` with the single query, as
-the prefill aggregates and the grouped attend do with batches.
+aggregated row, pooled by `dga._pool` with the current query as the
+prefill aggregates are with their blocks' last queries; the step's own
+softmax runs on `attention._tile`.
 The ledger counts the cache and its dot products; `decode-bench` writes
 them beside vanilla full attention's, and the per-step trace.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import _ROW_BLOCK, AttentionBatch, _tile
-from .dga import _attend, build_grouped_kv, compute_partition
+from .dga import _attend, _pool, compute_partition
 from .errors import InvalidInputError
 
 
@@ -78,8 +78,7 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     tail starts empty.
     """
     partition = compute_partition(batch, m, gamma)
-    kv = build_grouped_kv(batch, partition)
-    outputs = _attend(batch, partition, kv)
+    outputs, kv = _attend(batch, partition)
     L, r, k = batch.length, partition.r, partition.k
     # Exact scoring (none at gamma = 1) computes whole causal tiles; each aggregate pools m.
     ends = np.minimum(np.arange(_ROW_BLOCK, L + _ROW_BLOCK, _ROW_BLOCK), L)
@@ -122,10 +121,8 @@ def decode_step(
     m = state.m
     g = state.focal_rows + state.group_rows
     if rows - g >= regroup_threshold(m):
-        members = cache[:, g : g + m]
-        e, total = _tile(q, [members[0]])
         # The aggregate replaces the first member; leftover tail rows move up.
-        cache[:, g] = e @ members / total
+        cache[:, g] = _pool(q, cache[0, g : g + m], cache[1, g : g + m])
         cache[:, g + 1 : rows - m + 1] = cache[:, g + m : rows]
         state.group_rows += 1
         rows -= m - 1

@@ -4,7 +4,7 @@ Pipeline: score each token by its causal attention weight averaged over
 every query row that sees it (exact) or over a sampled set of rows, split
 tokens into focal and non-focal sets, chunk the non-focal subsequence
 into blocks of m, pool each block's keys/values with the softmax of its
-last-position query (one batched `attention._tile`), and attend over
+last-position query (`_pool`, also decode's regroup), and attend over
 
     [focal tokens | aggregated blocks | complement tokens]
 
@@ -13,10 +13,10 @@ c iff since[c] <= i < until[c]. A focal token j is [j, L), an aggregate
 is [last member, L) and a raw member j is [j, last member), so a query
 inside a block sees the members up to itself, and the aggregate once the
 block is past: no future token leaks, no past token is lost or counted
-twice. Attention runs `attention._tile` over tiles of 64 query rows; the
-raw members of every block a tile straddles lie in one token window. Only
-the scorer's tiles are spread over CPUs (`attention._in_shares`): the
-attend's small tiles spend most of their time in Python, under its lock.
+twice. The scorer runs on `attention._causal_tiles`, the causal tile loop
+exact attention runs on. The attend runs `attention._tile` over tiles of 64
+query rows on the calling thread; the raw members of every block a tile
+straddles lie in one token window.
 `build_group_mask` renders the rule as the dense L x (r + k + m) mask
 that `dga-check` and the oracle tests compare.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROW_BLOCK, AttentionBatch, _in_shares, _tile, _visible
+from .attention import AttentionBatch, _causal_tiles, _tile, _visible
 from .errors import InvalidInputError
 from .rng import RngStream
 
@@ -104,25 +104,13 @@ def approx_importance_scores(
 
     Each sampled row p contributes its causal softmax over positions
     <= p; column i is averaged over the sampled rows that can see it.
-    Columns no sampled row can see score 0. Each causal tile of sorted rows,
-    written into the front of one buffer per _in_shares share sized for the
-    last and widest, gives (1 / row sums) @ exp(logits); they are added to
-    the column sums in tile order, whatever the worker count.
+    Columns no sampled row can see score 0. Each causal tile gives
+    (1 / row sums) @ exp(logits), added to the column sums in tile order,
+    whatever the worker count.
     """
     L = batch.length
     positions = spec.positions(L, rng)
-    parts = [None] * -(-positions.size // _ROW_BLOCK)
-
-    def run_share(tiles):
-        buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
-        for t in tiles:
-            rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
-            n, end = rows.size, rows[-1] + 1
-            e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
-                            out=buf[: n * end].reshape(n, end))
-            parts[t] = (1.0 / sums) @ e
-
-    _in_shares(len(parts), run_share)
+    parts = _causal_tiles(batch, positions, lambda rows, e, sums: (1.0 / sums) @ e)
     col_sum = np.zeros(L)
     for part in parts:
         col_sum[: part.size] += part
@@ -139,11 +127,13 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     The top max(1, ceil(gamma * L)) scorers are focal; if the remainder is
     not divisible by m, the next-highest scorers are promoted until it is.
     Ties break by ascending index. Remaining tokens are chunked, in
-    original order, into consecutive blocks of m.
+    original order, into consecutive blocks of m. Scores must be finite.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise InvalidInputError("scores must be a nonempty vector")
+    if not np.isfinite(scores).all():
+        raise InvalidInputError("scores must be finite")
     if not (0.0 < gamma <= 1.0):
         raise InvalidInputError("gamma must lie in (0, 1]")
     if m < 1:
@@ -154,8 +144,7 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     r = r0 + (L - r0) % m
     by_score = np.argsort(-scores, kind="stable")
     focal = np.sort(by_score[:r])
-    non_focal = np.setdiff1d(np.arange(L, dtype=np.int64), focal, assume_unique=True)
-    groups = non_focal.reshape(-1, m)
+    groups = np.sort(by_score[r:]).reshape(-1, m)
     until = np.full(L + 1, L)
     until[groups] = groups[:, -1:]
     return TokenPartition(L, m, float(gamma), focal, groups, until)
@@ -168,12 +157,17 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
     groups, r = partition.groups, partition.r
-    members_k, members_v = batch.k[groups], batch.v[groups]
-    e, sums = _tile(batch.q[groups[:, -1:]], [members_k])
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
-    rows[0, r:], rows[1, r:] = (e @ members_k)[:, 0] / sums, (e @ members_v)[:, 0] / sums
+    rows[0, r:], rows[1, r:] = _pool(batch.q[groups[:, -1]], batch.k[groups], batch.v[groups])
     return rows
+
+
+def _pool(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple:
+    """(key row, value row) of each block of keys/values (..., m, d) pooled by
+    the softmax of its query q (..., d): the only place an aggregate forms."""
+    e, sums = _tile(q[..., None, :], [keys])
+    return (e @ keys)[..., 0, :] / sums, (e @ values)[..., 0, :] / sums
 
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:
@@ -189,9 +183,9 @@ def build_group_mask(partition: TokenPartition) -> np.ndarray:
     return np.hstack([summary, complement]).astype(np.float64)
 
 
-def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) -> np.ndarray:
-    """dga_attention_with_partition over the rows build_grouped_kv returned."""
-    keys, values = kv
+def _attend(batch: AttentionBatch, partition: TokenPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(dga_attention_with_partition, the build_grouped_kv rows it attends over)."""
+    keys, values = kv = build_grouped_kv(batch, partition)
     r, L = partition.r, partition.L
     focal, ends = partition.focal, partition.groups[:, -1]
     out = np.empty_like(batch.q)
@@ -211,7 +205,7 @@ def _attend(batch: AttentionBatch, partition: TokenPartition, kv: np.ndarray) ->
         o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
         o += e[:, a + b :] @ batch.v[lo:stop]
         out[start:stop] = o / sums[:, None]
-    return out
+    return out, kv
 
 
 def dga_attention_with_partition(
@@ -225,7 +219,7 @@ def dga_attention_with_partition(
     blocks' members; _tile hides the rest at -inf. The output, not the
     weights, is divided by the row sums.
     """
-    return _attend(batch, partition, build_grouped_kv(batch, partition))
+    return _attend(batch, partition)[0]
 
 
 def compute_partition(

@@ -213,7 +213,7 @@ class NaiveDecodeSession:
     def __init__(self, d: int, m: int):
         self.d = d
         self.m = m
-        self.threshold = int(np.ceil(1.1 * m - 1e-9))
+        self.threshold = -(-11 * m // 10)  # ceil(1.1 m) in integers
         self.focal_k: list = []
         self.focal_v: list = []
         self.block_members: list = []  # (k rows, v rows, forming query)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batches import random_batch
+from dgalab import attention
 from dgalab.attention import AttentionBatch
 from dgalab.decode import (
     decode_step,
@@ -13,7 +14,7 @@ from dgalab.decode import (
     prefill,
     regroup_threshold,
 )
-from dgalab.dga import compute_partition, dga_attention
+from dgalab.dga import compute_partition, dga_attention, importance_scores_exact
 from dgalab.errors import InvalidInputError
 from dgalab.oracles import NaiveDecodeSession
 
@@ -37,6 +38,10 @@ class TestRegroupThreshold:
         # ceil(1.1 * m - 1e-9) in floats returns 119576881700 here.
         m = 108706256090
         assert regroup_threshold(m) == -(-11 * m // 10) == 119576881699
+
+    def test_oracle_replays_the_same_threshold(self):
+        for m in [*range(1, 10**4 + 1), 108706256090]:
+            assert NaiveDecodeSession(1, m).threshold == regroup_threshold(m), m
 
 
 class TestPrefill:
@@ -75,6 +80,27 @@ class TestPrefill:
         dots = L * L + part.k * m + L * (part.r + part.k + m)
         assert state.dots == ledger(state).score_dot_products == dots
         np.testing.assert_allclose(outputs, dga_attention(batch, m, gamma), atol=1e-14)
+
+    @pytest.mark.parametrize("L", [1, 127, 128, 129, 300, 1000])
+    def test_scoring_dots_are_the_tile_loops_entries(self, monkeypatch, L):
+        """prefill counts exact scoring as the entries of every tile the
+        causal tile loop computes; L = 1000 runs it in two shares."""
+        monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        batch, m = random_batch(np.random.default_rng(L), L, 4), 4
+        real_tile, sizes = attention._tile, []
+
+        def spy(*args, **kwargs):
+            e, sums = real_tile(*args, **kwargs)
+            sizes.append(e.size)
+            return e, sums
+
+        monkeypatch.setattr(attention, "_tile", spy)
+        importance_scores_exact(batch)
+        scored = sum(sizes)
+        _, state = prefill(batch, m, 0.1)
+        r, k = state.focal_rows, state.group_rows
+        assert scored == state.dots - L * (r + k + m * (k > 0)) - k * m
 
 
 class TestDecodeStep:

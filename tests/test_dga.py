@@ -207,6 +207,11 @@ class TestPartitionTokens:
         part = partition_tokens(scores, 0.5, 3)
         assert set(part.focal) == {0, 1, 2}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="scores must be finite"):
+            partition_tokens([bad, 1, 2, 0.5, bad, 3], 0.34, 2)
+
 
 class TestGroupedKV:
     def test_tied_logits_give_uniform_group_weights(self):

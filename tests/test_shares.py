@@ -1,5 +1,6 @@
-"""The causal tile loops spread over worker threads: the split, bit-identical
-outputs at every worker count, concurrent callers and a failing tile."""
+"""The causal tile loop spread over worker threads: the split, its contract,
+bit-identical outputs at every worker count, concurrent callers and a failing
+tile or visit."""
 
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from batches import random_batch
 from dgalab import attention
-from dgalab.attention import _shares, causal_attention
+from dgalab.attention import _causal_tiles, _shares, causal_attention
 from dgalab.dga import SampleSpec, approx_importance_scores, importance_scores_exact
 from dgalab.rng import RngStream
 
@@ -44,6 +45,25 @@ def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
     monkeypatch.setattr(attention, "_shares", spy)
     causal_attention(random_batch(np.random.default_rng(0), L, 2))
     assert workers == [want]
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_causal_tiles_visit_each_tile_once_and_return_in_tile_order(monkeypatch, sampled):
+    L = 600
+    batch = random_batch(np.random.default_rng(L), L, 4)
+    positions = SampleSpec(40, 200).positions(L, RngStream(L)) if sampled else np.arange(L)
+    starts = list(positions[::attention._ROW_BLOCK])
+    for workers in (1, 2, 3, 5):
+        _set_workers(monkeypatch, workers)
+        visits = []
+
+        def visit(rows, e, sums):
+            visits.append(rows[0])
+            assert e.shape == (rows.size, rows[-1] + 1) and sums.shape == (rows.size,)
+            return rows[0]
+
+        assert _causal_tiles(batch, positions, visit) == starts, workers
+        assert sorted(visits) == starts, workers
 
 
 def _outputs(L):
@@ -118,4 +138,18 @@ def test_failing_tile_raises_and_leaves_no_thread(monkeypatch, L):
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="tile at row 128"):
         causal_attention(random_batch(np.random.default_rng(0), L, 4))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("L", [256, 300])  # tile 1 on the calling thread, then on a worker
+def test_failing_visit_raises_and_leaves_no_thread(monkeypatch, L):
+    _set_workers(monkeypatch, 2)
+
+    def visit(rows, e, sums):
+        if rows[0] == 128:
+            raise RuntimeError("visit at row 128")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="visit at row 128"):
+        _causal_tiles(random_batch(np.random.default_rng(0), L, 4), np.arange(L), visit)
     assert threading.active_count() == before
