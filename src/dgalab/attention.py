@@ -11,8 +11,9 @@ side by side, batched over leading axes or for one (d,) query, scaling
 the queries (not the wider logits) by 1/sqrt(d), hides only its trailing
 band by that rule when given the rows' positions, and exponentiates after
 a max shift. `_causal_tiles` is the one causal tile loop: it runs `_tile`
-on 128-row tiles of sorted query positions over K[:last row + 1], spread
-over the process's CPUs. `causal_attention` writes its tiles into a weight
+on 128-row tiles of sorted query positions over K[:last row + 1].
+`_run_shares` spreads its tiles, and `dga`'s grouped attend's, over the
+process's CPUs. `causal_attention` writes its tiles into a weight
 matrix that starts as zeros, so nothing above its diagonal is ever
 written; `dga`'s scorer is the loop's other caller. `dga`'s pooling and
 grouped attend, and each decode step, call `_tile` directly.
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 _ROW_BLOCK = 128  # query rows per causal tile: memory O(B L)
-_SHARE_TILES = 3  # fewest tiles per thread: a split of 2 or 3 tiles ran no faster
+_SHARE_LOGITS = 1 << 17  # fewest logits per share: L = 512 exact, 1024 grouped ran slower split
 
 
 @dataclass(frozen=True)
@@ -106,36 +107,45 @@ def _shares(tiles: int, workers: int) -> list[list[int]]:
     return [[t for t in range(tiles) if owner[t] == s] for s in range(lap // 2)]
 
 
+def _run_shares(logits: np.ndarray, run_share) -> None:
+    """run_share(tiles) on each of the _shares of the tiles whose logit counts
+    are logits: one share per CPU, but at least _SHARE_LOGITS logits each. The
+    first runs on this thread, the rest on a pool closed on return. numpy drops
+    the interpreter lock in a tile, so run_share must write only its own tiles."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, int(logits.sum()) // _SHARE_LOGITS))
+    first, *rest = _shares(logits.size, workers)
+    if not rest:
+        run_share(first)
+        return
+    with ThreadPoolExecutor(len(rest)) as pool:
+        results = pool.map(run_share, rest)
+        run_share(first)
+        list(results)  # re-raises a worker's exception
+
+
 def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit, weights=None) -> list:
     """[visit(rows, e, sums)] in tile order over the causal tiles of the sorted
     positions: _ROW_BLOCK rows over K[:last row + 1], band hidden by _tile, e in
     weights[rows, :end] if given (positions then run 0, 1, ...), else in one
-    buffer per share. The tiles' _shares, one per CPU but at least _SHARE_TILES
-    tiles each, run first on this thread, the rest on a pool closed on return.
-    numpy drops the interpreter lock in a tile; visit writes only its own tile."""
-    parts = [None] * -(-positions.size // _ROW_BLOCK)
+    buffer per share. The tiles run on _run_shares."""
+    stops = np.append(np.arange(_ROW_BLOCK, positions.size, _ROW_BLOCK), positions.size)
+    logits = np.diff(stops, prepend=0) * (positions[stops - 1] + 1)
+    parts = [None] * stops.size
 
     def run_share(tiles):
         if weights is None:
-            buf = np.empty(min(_ROW_BLOCK, positions.size) * (positions[-1] + 1))
+            buf = np.empty(logits.max())
         for t in tiles:
-            rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
+            rows = positions[t * _ROW_BLOCK : stops[t]]
             n, end = rows.size, rows[-1] + 1
             out = (buf[: n * end].reshape(n, end) if weights is None
                    else weights[rows[0] : end, :end])
-            e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
-                            out=out)
+            q = batch.q[rows[0] : end] if end - rows[0] == n else batch.q[rows]
+            e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end, out=out)
             parts[t] = visit(rows, e, sums)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    first, *rest = _shares(len(parts), max(1, min(cpus or 1, len(parts) // _SHARE_TILES)))
-    if not rest:
-        run_share(first)
-    else:
-        with ThreadPoolExecutor(len(rest)) as pool:
-            results = pool.map(run_share, rest)
-            run_share(first)
-            list(results)  # re-raises a worker's exception
+    _run_shares(logits, run_share)
     return parts
 
 

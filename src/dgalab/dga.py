@@ -15,8 +15,8 @@ inside a block sees the members up to itself, and the aggregate once the
 block is past: no future token leaks, no past token is lost or counted
 twice. The scorer runs on `attention._causal_tiles`, the causal tile loop
 exact attention runs on. The attend runs `attention._tile` over tiles of 64
-query rows on the calling thread; the raw members of every block a tile
-straddles lie in one token window.
+query rows, spread over the CPUs by `attention._run_shares` as that loop's
+are; the raw members of every block a tile straddles lie in one token window.
 `build_group_mask` renders the rule as the dense L x (r + k + m) mask
 that `dga-check` and the oracle tests compare.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBatch, _causal_tiles, _tile, _visible
+from .attention import AttentionBatch, _causal_tiles, _run_shares, _tile, _visible
 from .errors import InvalidInputError
 from .rng import RngStream
 
@@ -188,23 +188,33 @@ def _attend(batch: AttentionBatch, partition: TokenPartition) -> tuple[np.ndarra
     keys, values = kv = build_grouped_kv(batch, partition)
     r, L = partition.r, partition.L
     focal, ends = partition.focal, partition.groups[:, -1]
+    # Blocks chunk the non-focal tokens in order, so the members of every
+    # block straddling a tile row lie in one window [lo, stop). Every row
+    # sees aggregates [:b0] and the focal tokens before lo; the window
+    # serves the focal tokens from lo on.
+    starts = np.arange(0, L, _TILE_ROWS)
+    stops = np.append(starts[1:], L)
+    b0, b = (np.searchsorted(ends, rows, side="right") for rows in (starts, stops - 1))
+    lo = np.minimum(starts, np.append(partition.groups[:, 0], L)[b0])
+    a = np.searchsorted(focal, lo)
+    logits = (stops - starts) * (a + b + stops - lo)
+    tiles = np.stack([starts, stops, b0, b, lo, a], axis=1).tolist()
     out = np.empty_like(batch.q)
-    for start in range(0, L, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, L)
-        # Blocks chunk the non-focal tokens in order, so the members of
-        # every block straddling a tile row lie in one window [lo, stop).
-        # Every row sees aggregates [:b0] and the focal tokens before lo;
-        # the window serves the focal tokens from lo on.
-        b0, b = np.searchsorted(ends, [start, stop - 1], side="right")
-        lo = min(start, partition.groups[b0, 0]) if b0 < partition.k else start
-        a = np.searchsorted(focal, lo)
-        since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
-        until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
-        e, sums = _tile(batch.q[start:stop], [keys[:a], keys[r : r + b], batch.k[lo:stop]],
-                        np.arange(start, stop), since, until)
-        o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
-        o += e[:, a + b :] @ batch.v[lo:stop]
-        out[start:stop] = o / sums[:, None]
+
+    def run_share(share):
+        buf = np.empty(logits.max())
+        for t in share:
+            start, stop, b0, b, lo, a = tiles[t]
+            since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
+            until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
+            e, sums = _tile(batch.q[start:stop], [keys[:a], keys[r : r + b], batch.k[lo:stop]],
+                            np.arange(start, stop), since, until,
+                            out=buf[: logits[t]].reshape(stop - start, -1))
+            o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
+            o += e[:, a + b :] @ batch.v[lo:stop]
+            out[start:stop] = o / sums[:, None]
+
+    _run_shares(logits, run_share)
     return out, kv
 
 

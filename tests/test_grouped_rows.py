@@ -5,11 +5,13 @@ against the oracle."""
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.control import current_build_context
 
 from batches import random_batch, scaled_batch
+from dgalab import attention
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
     SampleSpec,
@@ -106,6 +108,27 @@ TILE_LENGTHS = st.one_of(
 @given(grouped_cases(TILE_LENGTHS, st.integers(2, 17), gammas=(0.1, 0.5)))
 def test_multi_tile_layout_matches_oracles(case):
     check_against_oracles(*case)
+
+
+def _attend_on(workers, part, batch):
+    """The grouped attend with its tiles dealt to `workers` CPUs, every tile
+    allowed its own share."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                   raising=False)
+        mp.setattr(attention, "_SHARE_LOGITS", 1)
+        return dga_attention_with_partition(batch, part)
+
+
+# Edge inputs: L < m, L = 1, m = 1, gamma = 1/L and 1, d = 1 and logits up to
+# +-1000, at lengths of one to five 64-row tiles.
+@settings(max_examples=25)
+@given(grouped_cases(st.one_of(st.integers(1, 20), TILE_LENGTHS), st.integers(1, 17)))
+def test_threaded_attend_equals_one_worker_and_the_oracle(case):
+    part, batch = case
+    got = _attend_on(3, part, batch)
+    np.testing.assert_array_equal(got, _attend_on(1, part, batch))
+    assert_close_or_dump(batch, got, naive_dga_attention(batch, part), atol=1e-12)
 
 
 @st.composite

@@ -1,6 +1,6 @@
-"""The causal tile loop spread over worker threads: the split, its contract,
-bit-identical outputs at every worker count, concurrent callers and a failing
-tile or visit."""
+"""The causal tile loop and the grouped attend spread over worker threads:
+the split, its contract, bit-identical outputs at every worker count,
+concurrent callers and a failing tile or visit."""
 
 import sys
 import threading
@@ -8,17 +8,24 @@ import threading
 import numpy as np
 import pytest
 
-from batches import random_batch
-from dgalab import attention
+from batches import planted_batch, random_batch
+from dgalab import attention, dga
 from dgalab.attention import _causal_tiles, _shares, causal_attention
-from dgalab.dga import SampleSpec, approx_importance_scores, importance_scores_exact
+from dgalab.decode import prefill
+from dgalab.dga import (
+    SampleSpec,
+    approx_importance_scores,
+    compute_partition,
+    dga_attention_with_partition,
+    importance_scores_exact,
+)
 from dgalab.rng import RngStream
 
 
-def _set_workers(monkeypatch, workers, share_tiles=1):
+def _set_workers(monkeypatch, workers, share_logits=1):
     monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: set(range(workers)),
                         raising=False)
-    monkeypatch.setattr(attention, "_SHARE_TILES", share_tiles)
+    monkeypatch.setattr(attention, "_SHARE_LOGITS", share_logits)
 
 
 def test_shares_cover_every_tile_once_and_balance_tile_ends():
@@ -33,9 +40,8 @@ def test_shares_cover_every_tile_once_and_balance_tile_ends():
             assert max(work) - min(work) <= tiles, (tiles, workers, shares)
 
 
-@pytest.mark.parametrize("L, want", [(1, 1), (384, 1), (640, 1), (641, 2), (5000, 8)])
-def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
-    _set_workers(monkeypatch, 8, attention._SHARE_TILES)
+def _spy_workers(monkeypatch):
+    """The worker counts that _shares is asked for, one per split loop."""
     real_shares, workers = attention._shares, []
 
     def spy(tiles, w):
@@ -43,8 +49,29 @@ def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
         return real_shares(tiles, w)
 
     monkeypatch.setattr(attention, "_shares", spy)
+    return workers
+
+
+# 2 * _SHARE_LOGITS = 262144 logits: 245760 at L = 640 (5 full tiles),
+# 245760 + 24 * 664 at L = 664 and 245760 + 25 * 665 at L = 665.
+@pytest.mark.parametrize("L, want", [(1, 1), (384, 1), (640, 1), (664, 1), (665, 2), (5000, 8)])
+def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
+    _set_workers(monkeypatch, 8, attention._SHARE_LOGITS)
+    workers = _spy_workers(monkeypatch)
     causal_attention(random_batch(np.random.default_rng(0), L, 2))
     assert workers == [want]
+
+
+@pytest.mark.parametrize("batch", [random_batch, planted_batch])
+def test_attend_runs_on_the_calling_thread_at_L_1024_and_splits_at_2048(monkeypatch, batch):
+    """The benchmark's probe sizes: m = 16, gamma = 0.1, d = 64."""
+    _set_workers(monkeypatch, 8, attention._SHARE_LOGITS)
+    for L, split in ((1024, False), (2048, True)):
+        b = batch(np.random.default_rng(L), L, 64)
+        part = compute_partition(b, 16, 0.1, SampleSpec(16, 16), RngStream(L))
+        workers = _spy_workers(monkeypatch)
+        dga_attention_with_partition(b, part)
+        assert len(workers) == 1 and (workers[0] > 1) == split, (L, workers)
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -97,15 +124,52 @@ def test_outputs_are_bit_identical_at_every_worker_count(monkeypatch, L):
         assert len(threads) == 1 if workers == 1 else len(threads) >= 2
 
 
+def _prefill_outputs(batch):
+    out, state = prefill(batch, 16, 0.1)
+    return {"prefill": out, "cache": state.cache[:, : state.rows], "dots": state.dots,
+            "rows": (state.focal_rows, state.group_rows),
+            "attend": dga_attention_with_partition(batch, compute_partition(batch, 8, 0.2))}
+
+
+@pytest.mark.parametrize("L", [1000, 2048, 4096])
+@pytest.mark.parametrize("batch", [random_batch, planted_batch])
+def test_attend_and_prefill_are_bit_identical_at_every_worker_count(monkeypatch, L, batch):
+    b = batch(np.random.default_rng(L), L, 64)
+    _set_workers(monkeypatch, 1)
+    want = _prefill_outputs(b)
+    real_tile, threads = dga._tile, set()
+
+    def spy(q, blocks, rows=None, *args, **kwargs):
+        if rows is not None:
+            threads.add(threading.get_ident())
+        return real_tile(q, blocks, rows, *args, **kwargs)
+
+    monkeypatch.setattr(dga, "_tile", spy)
+    for workers in (1, 2, 3, 5):
+        _set_workers(monkeypatch, workers)
+        threads.clear()
+        got = _prefill_outputs(b)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (workers, name)
+        assert len(threads) == 1 if workers == 1 else len(threads) >= 2
+
+
 def test_concurrent_callers_share_no_buffer(monkeypatch):
     _set_workers(monkeypatch, 3)
     batches = [random_batch(np.random.default_rng(seed), 300, 16) for seed in range(4)]
-    want = [(*causal_attention(b), importance_scores_exact(b)) for b in batches]
+    parts = [compute_partition(b, 4, 0.1) for b in batches]
+
+    def outputs(i):
+        b = batches[i]
+        return (*causal_attention(b), importance_scores_exact(b),
+                dga_attention_with_partition(b, parts[i]))
+
+    want = [outputs(i) for i in range(len(batches))]
     got = [None] * len(batches)
 
     def run(i):
         for _ in range(5):
-            got[i] = (*causal_attention(batches[i]), importance_scores_exact(batches[i]))
+            got[i] = outputs(i)
             if not all(np.array_equal(g, w) for g, w in zip(got[i], want[i])):
                 return
 
@@ -152,4 +216,23 @@ def test_failing_visit_raises_and_leaves_no_thread(monkeypatch, L):
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="visit at row 128"):
         _causal_tiles(random_batch(np.random.default_rng(0), L, 4), np.arange(L), visit)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("row", [64, 192])  # tile 1 on a worker, tile 3 on the calling thread
+def test_failing_attend_tile_raises_and_leaves_no_thread(monkeypatch, row):
+    _set_workers(monkeypatch, 2)
+    batch = random_batch(np.random.default_rng(0), 256, 4)
+    part = compute_partition(batch, 4, 0.1)
+    real_tile = dga._tile
+
+    def failing(q, blocks, rows=None, *args, **kwargs):
+        if rows is not None and rows[0] == row:
+            raise RuntimeError(f"tile at row {row}")
+        return real_tile(q, blocks, rows, *args, **kwargs)
+
+    monkeypatch.setattr(dga, "_tile", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"tile at row {row}"):
+        dga_attention_with_partition(batch, part)
     assert threading.active_count() == before
