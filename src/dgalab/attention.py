@@ -11,12 +11,12 @@ side by side, batched over leading axes or for one (d,) query, scaling
 the queries (not the wider logits) by 1/sqrt(d), hides only its trailing
 band by that rule when given the rows' positions, and exponentiates after
 a max shift. `_causal_tiles` is the one causal tile loop: it runs `_tile`
-on 128-row tiles of sorted query positions over K[:last row + 1].
+on 128-row tiles of sorted query positions over K[:last row + 1], whose
+logits `_causal_logits` counts for it and for `decode.prefill`.
 `_run_shares` spreads its tiles, and `dga`'s grouped attend's, over the
-process's CPUs. `causal_attention` writes its tiles into a weight
-matrix that starts as zeros, so nothing above its diagonal is ever
-written; `dga`'s scorer is the loop's other caller. `dga`'s pooling and
-grouped attend, and each decode step, call `_tile` directly.
+CPUs and hands each tile its scratch, one buffer per share. Only
+`causal_attention` writes its tiles elsewhere, into a zeroed weight matrix,
+so nothing above its diagonal is written; `dga`'s scorer is the other caller.
 """
 
 from __future__ import annotations
@@ -107,13 +107,19 @@ def _shares(tiles: int, workers: int) -> list[list[int]]:
     return [[t for t in range(tiles) if owner[t] == s] for s in range(lap // 2)]
 
 
-def _run_shares(logits: np.ndarray, run_share) -> None:
-    """run_share(tiles) on each of the _shares of the tiles whose logit counts
-    are logits: one share per CPU, but at least _SHARE_LOGITS logits each. The
-    first runs on this thread, the rest on a pool closed on return. numpy drops
-    the interpreter lock in a tile, so run_share must write only its own tiles."""
+def _run_shares(logits: np.ndarray, run_tile) -> None:
+    """run_tile(t, buf) on each tile t, buf being logits[t] floats of its share's
+    one scratch buffer. _shares deals one share per CPU, of at least _SHARE_LOGITS
+    logits; the first runs here, the rest on a pool closed on return. numpy drops
+    the interpreter lock in a tile, so run_tile must write only its own tile."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cpus or 1, int(logits.sum()) // _SHARE_LOGITS))
+
+    def run_share(share):
+        buf = np.empty(logits[share].max())
+        for t in share:
+            run_tile(t, buf[: logits[t]])
+
     first, *rest = _shares(logits.size, workers)
     if not rest:
         run_share(first)
@@ -124,28 +130,29 @@ def _run_shares(logits: np.ndarray, run_share) -> None:
         list(results)  # re-raises a worker's exception
 
 
-def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit, weights=None) -> list:
-    """[visit(rows, e, sums)] in tile order over the causal tiles of the sorted
-    positions: _ROW_BLOCK rows over K[:last row + 1], band hidden by _tile, e in
-    weights[rows, :end] if given (positions then run 0, 1, ...), else in one
-    buffer per share. The tiles run on _run_shares."""
+def _causal_logits(positions: np.ndarray) -> np.ndarray:
+    """Entries of causal tile t, rows positions[t * _ROW_BLOCK : (t + 1) *
+    _ROW_BLOCK] over K[:its last row + 1], masked band included."""
     stops = np.append(np.arange(_ROW_BLOCK, positions.size, _ROW_BLOCK), positions.size)
-    logits = np.diff(stops, prepend=0) * (positions[stops - 1] + 1)
-    parts = [None] * stops.size
+    return np.diff(stops, prepend=0) * (positions[stops - 1] + 1)
 
-    def run_share(tiles):
-        if weights is None:
-            buf = np.empty(logits.max())
-        for t in tiles:
-            rows = positions[t * _ROW_BLOCK : stops[t]]
-            n, end = rows.size, rows[-1] + 1
-            out = (buf[: n * end].reshape(n, end) if weights is None
-                   else weights[rows[0] : end, :end])
-            q = batch.q[rows[0] : end] if end - rows[0] == n else batch.q[rows]
-            e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end, out=out)
-            parts[t] = visit(rows, e, sums)
 
-    _run_shares(logits, run_share)
+def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit, weights=None) -> list:
+    """[visit(rows, e, sums)] in tile order over the _causal_logits tiles, band
+    hidden by _tile, e in weights[rows, :end] if given (positions then run 0, 1,
+    ...), else in the buf _run_shares hands the tile."""
+    logits = _causal_logits(positions)
+    parts = [None] * logits.size
+
+    def run_tile(t, buf):
+        rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
+        n, end = rows.size, rows[-1] + 1
+        out = buf.reshape(n, end) if weights is None else weights[rows[0] : end, :end]
+        q = batch.q[rows[0] : end] if end - rows[0] == n else batch.q[rows]
+        e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end, out=out)
+        parts[t] = visit(rows, e, sums)
+
+    _run_shares(logits, run_tile)
     return parts
 
 

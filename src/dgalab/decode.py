@@ -9,9 +9,9 @@ mask is needed. Once the tail reaches m' = ceil(1.1 m) rows (in integers,
 m + (m + 9) // 10), the oldest m of them collapse in place into one new
 aggregated row, pooled by `dga._pool` with the current query as the
 prefill aggregates are with their blocks' last queries; the step's own
-softmax runs on `attention._tile`.
-The ledger counts the cache and its dot products; `decode-bench` writes
-them beside vanilla full attention's, and the per-step trace.
+softmax runs on `attention._tile`. The ledger reports the cache and `dots`,
+the logits prefill and the steps computed; `decode-bench` writes them
+beside vanilla full attention's, and the per-step trace.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROW_BLOCK, AttentionBatch, _tile
+from .attention import AttentionBatch, _causal_logits, _tile
 from .dga import _attend, _pool, compute_partition
 from .errors import InvalidInputError
 
@@ -47,7 +47,7 @@ class DecoderState:
     cache[1], laid out as build_grouped_kv lays out its rows plus the
     tail: [focal | aggregated blocks | tail]. Rows [0, rows) are live;
     the capacity doubles when a new token finds the buffer full. dots
-    counts prefill's (scoring included) and every decode step's dot products.
+    counts the logits of every _tile call of prefill and of each step.
     """
 
     d: int
@@ -78,15 +78,12 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     tail starts empty.
     """
     partition = compute_partition(batch, m, gamma)
-    outputs, kv = _attend(batch, partition)
-    L, r, k = batch.length, partition.r, partition.k
-    # Exact scoring (none at gamma = 1) computes whole causal tiles; each aggregate pools m.
-    ends = np.minimum(np.arange(_ROW_BLOCK, L + _ROW_BLOCK, _ROW_BLOCK), L)
-    scoring = int(ends @ np.diff(ends, prepend=0)) if gamma < 1.0 else 0
-    state = DecoderState(
-        batch.width, m, kv, focal_rows=r, group_rows=k, rows=r + k,
-        prefill_tokens=L, dots=L * (r + k + (m if k > 0 else 0)) + k * m + scoring,
-    )
+    outputs, kv, attended = _attend(batch, partition)
+    # Exact scoring (none at gamma = 1) computes whole causal tiles.
+    scored = int(_causal_logits(np.arange(batch.length)).sum()) if gamma < 1.0 else 0
+    r, k = partition.r, partition.k
+    state = DecoderState(batch.width, m, kv, focal_rows=r, group_rows=k, rows=r + k,
+                         prefill_tokens=batch.length, dots=attended + scored)
     return outputs, state
 
 
@@ -132,10 +129,9 @@ def decode_step(
 
 
 def ledger(state: DecoderState) -> ComplexityLedger:
-    """Counts for the current state: next-token column cost equals
-    focal + block + tail rows; cache entries likewise; dot products are
-    the state's `dots`: prefill scoring, aggregates and attention plus
-    every decode step's columns and regroup members."""
+    """Counts for the current state: next-token columns and cache entries are
+    the live rows; dot products are `dots`, the logits of prefill (scoring,
+    pooling, attend) and of every decode step's columns and regroup."""
     return ComplexityLedger(
         per_token_columns=state.rows,
         cache_entries=state.rows,

@@ -14,9 +14,9 @@ is [last member, L) and a raw member j is [j, last member), so a query
 inside a block sees the members up to itself, and the aggregate once the
 block is past: no future token leaks, no past token is lost or counted
 twice. The scorer runs on `attention._causal_tiles`, the causal tile loop
-exact attention runs on. The attend runs `attention._tile` over tiles of 64
-query rows, spread over the CPUs by `attention._run_shares` as that loop's
-are; the raw members of every block a tile straddles lie in one token window.
+exact attention runs on. The attend runs `attention._tile` on 64-row tiles
+in the scratch `attention._run_shares` hands them and counts their logits;
+the raw members of every block a tile straddles lie in one token window.
 `build_group_mask` renders the rule as the dense L x (r + k + m) mask
 that `dga-check` and the oracle tests compare.
 """
@@ -134,10 +134,7 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
         raise InvalidInputError("scores must be a nonempty vector")
     if not np.isfinite(scores).all():
         raise InvalidInputError("scores must be finite")
-    if not (0.0 < gamma <= 1.0):
-        raise InvalidInputError("gamma must lie in (0, 1]")
-    if m < 1:
-        raise InvalidInputError("m must be at least 1")
+    _check_budget(m, gamma)
     L = scores.size
     # Tolerate float fuzz like 0.07 * 100 = 7.000000000000001 before ceil.
     r0 = max(1, int(np.ceil(gamma * L - 1e-9)))
@@ -148,6 +145,13 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     until = np.full(L + 1, L)
     until[groups] = groups[:, -1:]
     return TokenPartition(L, m, float(gamma), focal, groups, until)
+
+
+def _check_budget(m: int, gamma: float) -> None:
+    if not (0.0 < gamma <= 1.0):
+        raise InvalidInputError("gamma must lie in (0, 1]")
+    if m < 1:
+        raise InvalidInputError("m must be at least 1")
 
 
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
@@ -183,8 +187,8 @@ def build_group_mask(partition: TokenPartition) -> np.ndarray:
     return np.hstack([summary, complement]).astype(np.float64)
 
 
-def _attend(batch: AttentionBatch, partition: TokenPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(dga_attention_with_partition, the build_grouped_kv rows it attends over)."""
+def _attend(batch: AttentionBatch, partition: TokenPartition) -> tuple:
+    """(dga_attention_with_partition, its build_grouped_kv rows, all logits computed)."""
     keys, values = kv = build_grouped_kv(batch, partition)
     r, L = partition.r, partition.L
     focal, ends = partition.focal, partition.groups[:, -1]
@@ -201,21 +205,18 @@ def _attend(batch: AttentionBatch, partition: TokenPartition) -> tuple[np.ndarra
     tiles = np.stack([starts, stops, b0, b, lo, a], axis=1).tolist()
     out = np.empty_like(batch.q)
 
-    def run_share(share):
-        buf = np.empty(logits.max())
-        for t in share:
-            start, stop, b0, b, lo, a = tiles[t]
-            since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
-            until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
-            e, sums = _tile(batch.q[start:stop], [keys[:a], keys[r : r + b], batch.k[lo:stop]],
-                            np.arange(start, stop), since, until,
-                            out=buf[: logits[t]].reshape(stop - start, -1))
-            o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
-            o += e[:, a + b :] @ batch.v[lo:stop]
-            out[start:stop] = o / sums[:, None]
+    def run_tile(t, buf):
+        start, stop, b0, b, lo, a = tiles[t]
+        since = np.concatenate([ends[b0:b], np.arange(lo, stop)])
+        until = np.concatenate([np.full(b - b0, L), partition.until[lo:stop]])
+        e, sums = _tile(batch.q[start:stop], [keys[:a], keys[r : r + b], batch.k[lo:stop]],
+                        np.arange(start, stop), since, until, out=buf.reshape(stop - start, -1))
+        o = e[:, :a] @ values[:a] + e[:, a : a + b] @ values[r : r + b]
+        o += e[:, a + b :] @ batch.v[lo:stop]
+        out[start:stop] = o / sums[:, None]
 
-    _run_shares(logits, run_share)
-    return out, kv
+    _run_shares(logits, run_tile)
+    return out, kv, int(logits.sum()) + partition.k * partition.m
 
 
 def dga_attention_with_partition(
@@ -239,8 +240,9 @@ def compute_partition(
     spec: SampleSpec | None = None,
     rng: RngStream | None = None,
 ) -> TokenPartition:
-    """Score tokens over every query row, or the spec's sampled rows, and
-    partition. Exact scoring is skipped at gamma = 1: every token is focal."""
+    """Check m and gamma, then score tokens over every query row (skipped at
+    gamma = 1: every token is focal) or the spec's sampled rows, and partition."""
+    _check_budget(m, gamma)
     if spec is None:
         scores = importance_scores_exact(batch) if gamma < 1.0 else np.zeros(batch.length)
         return partition_tokens(scores, gamma, m)

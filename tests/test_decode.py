@@ -1,12 +1,14 @@
 """Incremental decoding: caches, aggregation rule, and cost ledgers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from batches import random_batch
-from dgalab import attention
+from dgalab import attention, decode, dga
 from dgalab.attention import AttentionBatch
 from dgalab.decode import (
     decode_step,
@@ -14,7 +16,7 @@ from dgalab.decode import (
     prefill,
     regroup_threshold,
 )
-from dgalab.dga import compute_partition, dga_attention, importance_scores_exact
+from dgalab.dga import compute_partition, dga_attention
 from dgalab.errors import InvalidInputError
 from dgalab.oracles import NaiveDecodeSession
 
@@ -75,32 +77,38 @@ class TestPrefill:
         assert state.focal_rows == part.r
         assert state.group_rows == part.k
         assert state.tail_rows == 0
-        # Exact scoring is one 40 x 40 causal tile, masked half included;
-        # each aggregate pools m members; each row attends r + k + m columns.
-        dots = L * L + part.k * m + L * (part.r + part.k + m)
-        assert state.dots == ledger(state).score_dot_products == dots
+        assert state.dots == ledger(state).score_dot_products
         np.testing.assert_allclose(outputs, dga_attention(batch, m, gamma), atol=1e-14)
 
-    @pytest.mark.parametrize("L", [1, 127, 128, 129, 300, 1000])
+    @pytest.mark.parametrize("L", [1, 63, 64, 65, 127, 128, 129, 300, 1000])
     def test_scoring_dots_are_the_tile_loops_entries(self, monkeypatch, L):
-        """prefill counts exact scoring as the entries of every tile the
-        causal tile loop computes; L = 1000 runs it in two shares."""
-        monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        batch, m = random_batch(np.random.default_rng(L), L, 4), 4
-        real_tile, sizes = attention._tile, []
+        """state.dots is the sum of e.size over every _tile call that prefill
+        (scoring, pooling and the attend) and each decode step (its softmax
+        and any regroup) make, at every m, gamma and CPU count."""
+        sizes = []
+        for module in (attention, dga, decode):
+            def spy(*args, real=module._tile, **kwargs):
+                e, sums = real(*args, **kwargs)
+                sizes.append(e.size)
+                return e, sums
 
-        def spy(*args, **kwargs):
-            e, sums = real_tile(*args, **kwargs)
-            sizes.append(e.size)
-            return e, sums
-
-        monkeypatch.setattr(attention, "_tile", spy)
-        importance_scores_exact(batch)
-        scored = sum(sizes)
-        _, state = prefill(batch, m, 0.1)
-        r, k = state.focal_rows, state.group_rows
-        assert scored == state.dots - L * (r + k + m * (k > 0)) - k * m
+            monkeypatch.setattr(module, "_tile", spy)
+        rng = np.random.default_rng(L)
+        batch, steps = random_batch(rng, L, 4), rng.normal(size=(24, 3, 4))
+        monkeypatch.setattr(attention, "_SHARE_LOGITS", 1)  # 2 CPUs split every loop of 2+ tiles
+        mismatches = []
+        for cpus, m, gamma in itertools.product((1, 2), (1, 4, 16), (0.1, 1.0)):
+            monkeypatch.setattr(attention.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            sizes.clear()
+            _, state = prefill(batch, m, gamma)
+            counts = [(state.dots, sum(sizes))]
+            for q, k, v in steps:
+                _, state = decode_step(state, q, k, v)
+                counts.append((state.dots, sum(sizes)))
+            if any(got != want for got, want in counts):
+                mismatches.append((cpus, m, gamma, counts[0]))
+        assert not mismatches
 
 
 class TestDecodeStep:

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batches import random_batch
+from dgalab import attention, dga
 from dgalab.attention import AttentionBatch, causal_attention
+from dgalab.decode import prefill
 from dgalab.dga import (
     SampleSpec,
     approx_importance_scores,
@@ -374,6 +376,28 @@ class TestDgaAttention:
                         AttentionBatch(*arrays), part
                     )
                     np.testing.assert_array_equal(pert[:j], base[:j])
+
+    @pytest.mark.parametrize("m, gamma, message", [
+        (0, 0.1, "m must be at least 1"), (-3, 1.0, "m must be at least 1"),
+        (4, 0.0, "gamma must lie"), (4, -0.2, "gamma must lie"), (4, 1.5, "gamma must lie"),
+    ])
+    def test_bad_m_or_gamma_rejected_before_any_scoring(self, monkeypatch, m, gamma, message):
+        """compute_partition, dga_attention and prefill raise before any tile runs."""
+        calls = []
+        for module in (attention, dga):
+            def spy(*args, real=module._tile, **kwargs):
+                calls.append(args[0].shape)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "_tile", spy)
+        batch = random_batch(np.random.default_rng(23), 300, 4)
+        runs = [lambda: compute_partition(batch, m, gamma),
+                lambda: compute_partition(batch, m, gamma, SampleSpec(8, 8), RngStream(0)),
+                lambda: dga_attention(batch, m, gamma), lambda: prefill(batch, m, gamma)]
+        for run in runs:
+            with pytest.raises(InvalidInputError, match=message):
+                run()
+        assert calls == []
 
     def test_sampled_scores_pipeline_runs_and_is_deterministic(self):
         rng = np.random.default_rng(21)

@@ -1,6 +1,6 @@
 """The causal tile loop and the grouped attend spread over worker threads:
-the split, its contract, bit-identical outputs at every worker count,
-concurrent callers and a failing tile or visit."""
+the split, the runner's scratch, its contract, bit-identical outputs at
+every worker count, concurrent callers and a failing tile or visit."""
 
 import sys
 import threading
@@ -10,7 +10,7 @@ import pytest
 
 from batches import planted_batch, random_batch
 from dgalab import attention, dga
-from dgalab.attention import _causal_tiles, _shares, causal_attention
+from dgalab.attention import _causal_tiles, _run_shares, _shares, causal_attention
 from dgalab.decode import prefill
 from dgalab.dga import (
     SampleSpec,
@@ -38,6 +38,62 @@ def test_shares_cover_every_tile_once_and_balance_tile_ends():
             # Tile t's cost grows with its end row, t + 1 in tile units.
             work = [sum(t + 1 for t in share) for share in shares]
             assert max(work) - min(work) <= tiles, (tiles, workers, shares)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_runner_hands_each_tile_its_own_share_buffer(monkeypatch, workers):
+    """Tile t gets exactly logits[t] floats of scratch, every tile of a share
+    starts at its share's one buffer, and the buffers of two shares never
+    overlap."""
+    _set_workers(monkeypatch, workers)
+    logits = np.array([7, 3, 12, 1, 9, 12, 4, 5, 2, 8])
+    bufs = {}
+
+    def run_tile(t, buf):
+        bufs[t] = buf
+
+    _run_shares(logits, run_tile)
+    assert sorted(bufs) == list(range(logits.size))
+    assert all(bufs[t].shape == (logits[t],) and bufs[t].dtype == np.float64 for t in bufs)
+    shares = _shares(logits.size, workers)
+    assert len(shares) == workers
+    start = {t: bufs[t].__array_interface__["data"][0] for t in bufs}
+    for i, share in enumerate(shares):
+        assert {start[t] for t in share} == {start[share[0]]}
+        for other in shares[i + 1 :]:
+            assert not any(np.shares_memory(bufs[t], bufs[u]) for t in share for u in other)
+
+
+def test_tile_loops_compute_their_logits_in_the_runner_buffers(monkeypatch):
+    """The causal loop (exact and sampled rows) and the grouped attend write
+    every tile's logits into the scratch _run_shares handed that tile."""
+    _set_workers(monkeypatch, 2)
+    real_run, real_tile, bufs, tiles = attention._run_shares, attention._tile, [], []
+
+    def run_spy(logits, run_tile):
+        def tile_spy(t, buf):
+            assert buf.size == logits[t]
+            bufs.append(buf)
+            run_tile(t, buf)
+
+        real_run(logits, tile_spy)
+
+    def tile_spy(q, blocks, rows=None, *args, **kwargs):
+        e, sums = real_tile(q, blocks, rows, *args, **kwargs)
+        if rows is not None:
+            tiles.append(e)
+        return e, sums
+
+    batch = random_batch(np.random.default_rng(1), 300, 4)
+    part = compute_partition(batch, 4, 0.1)
+    for module in (attention, dga):
+        monkeypatch.setattr(module, "_run_shares", run_spy)
+        monkeypatch.setattr(module, "_tile", tile_spy)
+    importance_scores_exact(batch)
+    approx_importance_scores(batch, SampleSpec(40, 200), RngStream(3))
+    dga_attention_with_partition(batch, part)
+    assert len(tiles) == len(bufs) == 3 + 2 + 5  # 128-row, 128-row and 64-row tiles
+    assert all(any(np.shares_memory(e, buf) for buf in bufs) for e in tiles)
 
 
 def _spy_workers(monkeypatch):
