@@ -7,12 +7,12 @@ exactly zero.
 One rule, `_visible`, decides what a query sees: column c is visible to
 row i iff since[c] <= i < until[c]; a key of exact attention is
 [its position, L). `_tile` lays queries' logits over several key blocks
-side by side, batched over leading axes or for one (d,) query, scaling
-the queries (not the wider logits) by 1/sqrt(d), hides only its trailing
-band by that rule when given the rows' positions, and exponentiates after
-a max shift. `_causal_tiles` is the one causal tile loop: it runs `_tile`
-on 128-row tiles of sorted query positions over K[:last row + 1], whose
-logits `_causal_logits` counts for it and for `decode.prefill`.
+side by side, batched over leading axes, scaling the queries (not the
+wider logits) by 1/sqrt(d), hides only its trailing band by that rule
+when given the rows' positions, and exponentiates after a max shift.
+`_causal_tiles` is the one causal tile loop: it runs `_tile` on 128-row
+tiles of sorted query positions over K[:last row + 1], whose logits
+`_causal_logits` counts for it and for `decode.prefill`.
 `_run_shares` spreads its tiles, and `dga`'s grouped attend's, over the
 CPUs and hands each tile its scratch, one buffer per share. Only
 `causal_attention` writes its tiles elsewhere, into a zeroed weight matrix,
@@ -78,11 +78,10 @@ def _visible(rows: np.ndarray, since, until) -> np.ndarray:
 def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) -> tuple:
     """(e, row sums), e = exp(logit - row max) of queries q (..., n, d) over
     the key blocks (..., len, d) laid side by side on the last axis, written
-    into out if given; leading axes batch, and one (d,) query gives (cols,)
-    weights and a scalar sum. q is scaled by 1/sqrt(d) before the products,
-    bit for bit the scaled logits when sqrt(d) is a power of two. Given the
-    sorted rows' positions, the trailing since.size columns are hidden by
-    _visible; every row sees the columns before them."""
+    into out if given; leading axes batch. q is scaled by 1/sqrt(d) before
+    the products, bit for bit the scaled logits when sqrt(d) is a power of
+    two. Given the sorted rows' positions, the trailing since.size columns
+    are hidden by _visible; every row sees the columns before them."""
     q = q * (1.0 / math.sqrt(q.shape[-1]))
     if out is None:
         out = np.empty(q.shape[:-1] + (sum(block.shape[-2] for block in blocks),))

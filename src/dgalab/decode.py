@@ -5,22 +5,23 @@ rows, [focal | aggregated blocks | pending tail], seeded by prefill from
 the grouped attention layout. Each decode step checks q, k and v once as
 one stacked array, writes the new token at the end of the tail and
 attends over the live rows -- everything cached is in the past, so no
-mask is needed. Once the tail reaches m' = ceil(1.1 m) rows (in integers,
-m + (m + 9) // 10), the oldest m of them collapse in place into one new
-aggregated row, pooled by `dga._pool` with the current query as the
-prefill aggregates are with their blocks' last queries; the step's own
-softmax runs on `attention._tile`. The ledger reports the cache and `dots`,
-the logits prefill and the steps computed; `decode-bench` writes them
-beside vanilla full attention's, and the per-step trace.
+mask is needed -- with one logit product. Once the tail reaches m' =
+ceil(1.1 m) rows (in integers, m + (m + 9) // 10), the oldest m of them
+collapse in place into one new aggregated row, pooled by `dga._pool` with
+the softmax of the step's own logits over them, as prefill pools with its
+blocks' last queries; a regroup computes no logit. The ledger reports the
+cache and `dots`, the logits prefill and the steps computed; `decode-bench`
+writes them beside vanilla full attention's, and the per-step trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBatch, _causal_logits, _tile
+from .attention import AttentionBatch, _causal_logits
 from .dga import _attend, _pool, compute_partition
 from .errors import InvalidInputError
 
@@ -47,7 +48,7 @@ class DecoderState:
     cache[1], laid out as build_grouped_kv lays out its rows plus the
     tail: [focal | aggregated blocks | tail]. Rows [0, rows) are live;
     the capacity doubles when a new token finds the buffer full. dots
-    counts the logits of every _tile call of prefill and of each step.
+    counts the logits of prefill's _tile calls and of each step's product.
     """
 
     d: int
@@ -94,8 +95,8 @@ def decode_step(
 
     Mutates `state` in place and returns it alongside the attention
     output. Aggregation fires when the tail reaches ceil(1.1 m) rows,
-    collapsing the oldest m with weights softmax(q . K_member / sqrt(d));
-    columns and member dots count towards `dots`. Invalid q/k/v change nothing.
+    collapsing the oldest m with weights softmax(q . K_member / sqrt(d)) from
+    the step's logits; `dots` grows by the columns. Invalid q/k/v change nothing.
     """
     d = state.d
     qkv = np.concatenate((q_new, k_new, v_new), axis=None, dtype=np.float64)
@@ -111,19 +112,22 @@ def decode_step(
     rows += 1
     state.generated += 1
 
-    e, total = _tile(q, [cache[0, :rows]])
-    out = e @ cache[1, :rows] / total
+    e = (q * (1.0 / math.sqrt(d))) @ cache[0, :rows].T  # q scaled as _tile scales it
     state.dots += rows
-
-    m = state.m
-    g = state.focal_rows + state.group_rows
-    if rows - g >= regroup_threshold(m):
+    m, g = state.m, state.focal_rows + state.group_rows
+    regroup = rows - g >= regroup_threshold(m)
+    if regroup:  # shifted by the members' own max: exact far below the step's
+        w = e[None, g : g + m] - e[g : g + m].max()
+        np.exp(w, out=w)
+    e -= e.max()
+    np.exp(e, out=e)
+    out = e @ cache[1, :rows] / e.sum()
+    if regroup:
         # The aggregate replaces the first member; leftover tail rows move up.
-        cache[:, g] = _pool(q, cache[0, g : g + m], cache[1, g : g + m])
+        cache[:, g] = _pool(w, cache[:, g : g + m])
         cache[:, g + 1 : rows - m + 1] = cache[:, g + m : rows]
         state.group_rows += 1
         rows -= m - 1
-        state.dots += m
     state.rows = rows
     return out, state
 
@@ -131,7 +135,7 @@ def decode_step(
 def ledger(state: DecoderState) -> ComplexityLedger:
     """Counts for the current state: next-token columns and cache entries are
     the live rows; dot products are `dots`, the logits of prefill (scoring,
-    pooling, attend) and of every decode step's columns and regroup."""
+    pooling, attend) and of every decode step's columns."""
     return ComplexityLedger(
         per_token_columns=state.rows,
         cache_entries=state.rows,

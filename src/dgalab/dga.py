@@ -163,15 +163,17 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     groups, r = partition.groups, partition.r
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
-    rows[0, r:], rows[1, r:] = _pool(batch.q[groups[:, -1]], batch.k[groups], batch.v[groups])
+    keys, values = batch.k[groups], batch.v[groups]
+    e, _ = _tile(batch.q[groups[:, -1], None], [keys])
+    rows[0, r:], rows[1, r:] = _pool(e, keys), _pool(e, values)
     return rows
 
 
-def _pool(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple:
-    """(key row, value row) of each block of keys/values (..., m, d) pooled by
-    the softmax of its query q (..., d): the only place an aggregate forms."""
-    e, sums = _tile(q[..., None, :], [keys])
-    return (e @ keys)[..., 0, :] / sums, (e @ values)[..., 0, :] / sums
+def _pool(w: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Rows (..., d) of blocks of members (..., m, d), pooled in one product
+    by their unnormalised weights w (..., 1, m): the only place an aggregate
+    forms. Decode pools stacked keys and values (2, m, d) in one call."""
+    return (w @ members)[..., 0, :] / w.sum(axis=-1)
 
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:

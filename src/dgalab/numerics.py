@@ -39,9 +39,11 @@ def softmax(v) -> np.ndarray:
 
 
 def softmax_rows(mat: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis."""
-    e = np.exp(mat - mat.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Max-shifted softmax over the last axis of a float64 array, in one new array."""
+    e = mat - mat.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def project_to_simplex(v) -> np.ndarray:

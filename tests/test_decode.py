@@ -82,11 +82,12 @@ class TestPrefill:
 
     @pytest.mark.parametrize("L", [1, 63, 64, 65, 127, 128, 129, 300, 1000])
     def test_scoring_dots_are_the_tile_loops_entries(self, monkeypatch, L):
-        """state.dots is the sum of e.size over every _tile call that prefill
-        (scoring, pooling and the attend) and each decode step (its softmax
-        and any regroup) make, at every m, gamma and CPU count."""
+        """After prefill, state.dots is the sum of e.size over every _tile call
+        it makes (scoring, pooling and the attend), at every m, gamma and CPU
+        count. Each decode step then adds the rows it attends and calls no
+        _tile: its regroup pools from the logits the step already computed."""
         sizes = []
-        for module in (attention, dga, decode):
+        for module in (attention, dga):
             def spy(*args, real=module._tile, **kwargs):
                 e, sums = real(*args, **kwargs)
                 sizes.append(e.size)
@@ -96,19 +97,22 @@ class TestPrefill:
         rng = np.random.default_rng(L)
         batch, steps = random_batch(rng, L, 4), rng.normal(size=(24, 3, 4))
         monkeypatch.setattr(attention, "_SHARE_LOGITS", 1)  # 2 CPUs split every loop of 2+ tiles
-        mismatches = []
+        mismatches, regroups = [], 0
         for cpus, m, gamma in itertools.product((1, 2), (1, 4, 16), (0.1, 1.0)):
             monkeypatch.setattr(attention.os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)), raising=False)
             sizes.clear()
             _, state = prefill(batch, m, gamma)
-            counts = [(state.dots, sum(sizes))]
+            counts, tiles = [(state.dots, sum(sizes))], len(sizes)
             for q, k, v in steps:
+                dots, rows, groups = state.dots, state.rows + 1, state.group_rows
                 _, state = decode_step(state, q, k, v)
-                counts.append((state.dots, sum(sizes)))
-            if any(got != want for got, want in counts):
+                counts.append((state.dots - dots, rows))
+                regroups += state.group_rows > groups
+            if any(got != want for got, want in counts) or len(sizes) != tiles:
                 mismatches.append((cpus, m, gamma, counts[0]))
         assert not mismatches
+        assert regroups > 0
 
 
 class TestDecodeStep:
@@ -204,6 +208,36 @@ class TestDecodeStep:
             decode_step(state, *(np.zeros(w) for w in widths))
         assert (state.rows, state.generated) == (1, 0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["members-far-below", "members-far-above"])
+    def test_regroup_pools_exactly_at_extreme_logits(self, sign):
+        """At the regroup step the m = 4 members' logits lie within a few units
+        of 0, while the focal prompt key's and the new key's lie at 1000 * sign:
+        the members sit ~1000 below the step's max, or ~1000 above every other
+        row. Outputs and the new aggregate stay finite and match the oracle."""
+        rng = np.random.default_rng(21)
+        d, m = 4, 4
+        spike = np.array([2.0, 0.0, 0.0, 0.0])  # logit q[0] for any q, as sqrt(d) = 2
+        prompt = AttentionBatch(rng.normal(size=(1, d)), spike[None], rng.normal(size=(1, d)))
+        _, state = prefill(prompt, m, 1.0)
+        session = NaiveDecodeSession.from_prefill(prompt, compute_partition(prompt, m, 1.0))
+        members = np.zeros((m, d))
+        members[:, 1:3] = 2.0 * rng.normal(size=(m, 2))
+        steps = [(rng.normal(size=d), key, rng.normal(size=d)) for key in members]
+        steps.append((np.array([1000.0 * sign, 3.0, 3.0, 0.0]), spike, rng.normal(size=d)))
+        steps += [tuple(rng.normal(size=(3, d))) for _ in range(3)]
+        for step, (q, k, v) in enumerate(steps):
+            got, state = decode_step(state, q, k, v)
+            want = session.step(q, k, v)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            if step == m:
+                assert (sign * (q[0] - members @ q / 2) >= 800).all()
+                assert state.group_rows == 1
+                aggregate = state.cache[:, state.focal_rows]
+                assert np.isfinite(aggregate).all()
+                np.testing.assert_allclose(aggregate, [row[-1] for row in session._aggregates()],
+                                           rtol=0, atol=1e-12)
+
     def test_width_one_takes_scalars(self):
         prompt = random_batch(np.random.default_rng(20), 3, 1)
         outs = [decode_step(prefill(prompt, 2, 1.0)[1], *args)[0]
@@ -213,16 +247,18 @@ class TestDecodeStep:
 
 class TestLedger:
     def test_column_counts_are_exact(self):
+        """Every step, regroup or not, adds exactly the rows it attends."""
         rng = np.random.default_rng(8)
         batch = random_batch(rng, 32, 4)
         _, state = prefill(batch, 4, 0.25)
+        groups = state.group_rows
         for _ in range(20):
             before = state.focal_rows + state.group_rows + state.tail_rows
             assert ledger(state).per_token_columns == ledger(state).cache_entries == before
-            dots, groups = ledger(state).score_dot_products, state.group_rows
+            dots = ledger(state).score_dot_products
             _, state = decode_step(state, *rng.normal(size=(3, 4)))
-            regroup = state.m if state.group_rows > groups else 0
-            assert ledger(state).score_dot_products - dots - regroup == before + 1
+            assert ledger(state).score_dot_products - dots == before + 1
+        assert state.group_rows > groups
 
     def test_decode_columns_strictly_below_vanilla(self):
         rng = np.random.default_rng(9)
@@ -247,7 +283,8 @@ class TestLedger:
         assert sizes[0] > sizes[1] > sizes[2]
 
     def test_regroup_dots_are_counted(self):
-        """A regroup step also pays the m member dot products of its softmax."""
+        """A regroup step counts only the columns it attends: its members'
+        pooling weights come from those logits, so the regroup adds no dots."""
         rng = np.random.default_rng(12)
         m = 4
         _, state = prefill(random_batch(rng, 16, 4), m, 0.25)
@@ -256,10 +293,8 @@ class TestLedger:
             before, groups = ledger(state).score_dot_products, state.group_rows
             columns = state.focal_rows + state.group_rows + state.tail_rows + 1
             _, state = decode_step(state, *rng.normal(size=(3, 4)))
-            regroup = state.group_rows > groups
-            kinds.add(regroup)
-            want = before + columns + (m if regroup else 0)
-            assert ledger(state).score_dot_products == want
+            kinds.add(state.group_rows > groups)
+            assert ledger(state).score_dot_products == before + columns
         assert kinds == {False, True}
 
     def test_dots_accumulate(self):
@@ -283,15 +318,21 @@ def decode_sessions(draw):
     bad = (draw(st.integers(0, 2)), draw(st.sampled_from(["width", "nan"])))
     # Largest |logit|; exp overflows past 709.78, so 1000 needs the max shift.
     reach = draw(st.sampled_from([1.0, 30.0, 700.0, 1000.0]))
+    focal = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    return L, d, m, gamma, steps, at, bad, reach, np.random.default_rng(seed)
+    return L, d, m, gamma, steps, at, bad, reach, focal, np.random.default_rng(seed)
 
 
-def scaled_session(rng, L, d, steps, reach):
+def scaled_session(rng, L, d, steps, reach, focal=False):
     """Gaussian prompt and (steps, 3, d) step q/k/v rows. The prompt Q is
     scaled as a whole, and each step's q alone, so that the largest
-    |q.k| / sqrt(d) over the keys seen so far is reach."""
+    |q.k| / sqrt(d) over the keys seen so far is reach. With focal, prompt
+    key 0 is 100 times longer and each step's q points near it, so that
+    the step's other logits lie about reach below that key's."""
     q, k, v = rng.normal(size=(3, L + steps, d))
+    if focal:
+        k[0] *= 100.0
+        q[L:] += k[0]
     q[:L] *= reach / np.abs(q[:L] @ k[:L].T / np.sqrt(d)).max()
     for i in range(L, L + steps):
         q[i] *= reach / np.abs(k[: i + 1] @ q[i] / np.sqrt(d)).max()
@@ -319,8 +360,8 @@ def _assert_rejected_without_change(state, d, bad, rng):
 
 @given(decode_sessions())
 def test_decode_session_matches_oracle_and_keeps_its_invariants(case):
-    L, d, m, gamma, steps, at, bad, reach, rng = case
-    batch, inputs = scaled_session(rng, L, d, steps, reach)
+    L, d, m, gamma, steps, at, bad, reach, focal, rng = case
+    batch, inputs = scaled_session(rng, L, d, steps, reach, focal)
     _, state = prefill(batch, m, gamma)
     session = NaiveDecodeSession.from_prefill(batch, compute_partition(batch, m, gamma))
     for step in range(steps + 1):

@@ -10,6 +10,7 @@ from dgalab.numerics import (
     condition_number,
     project_to_simplex,
     softmax,
+    softmax_rows,
     sym_eigenvalues,
 )
 from dgalab.oracles import jacobi_eigenvalues
@@ -42,6 +43,19 @@ class TestSoftmax:
             softmax([1.0, np.inf])
         with pytest.raises(InvalidInputError):
             softmax([])
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (10000, 32)])
+    def test_rows_match_the_two_temporary_formula_bit_for_bit(self, shape):
+        """One temporary, exp and division in place, gives the bits of
+        exp(x - max) / sum, and leaves its input as it was. Each row's
+        logits lie within +-reach, reach between 1 and 1000."""
+        rng = np.random.default_rng(len(shape))
+        reach = 10.0 ** rng.uniform(0.0, 3.0, size=shape[:-1] + (1,))
+        mat = rng.uniform(-1.0, 1.0, size=shape) * reach
+        before = mat.copy()
+        e = np.exp(mat - mat.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(softmax_rows(mat), e / e.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(mat, before)
 
 
 def brute_force_simplex_projection(v, steps=2001):
