@@ -13,16 +13,18 @@ when given the rows' positions, and exponentiates after a max shift.
 `_causal_tiles` is the one causal tile loop: it runs `_tile` on 128-row
 tiles of sorted query positions over K[:last row + 1], whose logits
 `_causal_logits` counts for it and for `decode.prefill`.
-`_run_shares` spreads its tiles, and `dga`'s grouped attend's, over the
-CPUs and hands each tile its scratch, one buffer per share. Only
-`causal_attention` writes its tiles elsewhere, into a zeroed weight matrix,
-so nothing above its diagonal is written; `dga`'s scorer is the other caller.
+`_run_shares` runs its tiles, and `dga`'s grouped attend's, costliest first
+off one queue that a thread per CPU pops, each thread with one scratch
+buffer. Only `causal_attention` writes its tiles elsewhere, into a zeroed
+weight matrix, so nothing above its diagonal is written; `dga`'s scorer is
+the other caller.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -97,36 +99,32 @@ def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) ->
     return out, out.sum(axis=-1)
 
 
-def _shares(tiles: int, workers: int) -> list[list[int]]:
-    """range(tiles) dealt from the last tile down to min(workers, tiles) shares
-    in snake order (0, 1, 1, 0, 0, 1, ...): a tile's cost grows with its last
-    row, so share costs differ by at most the largest tile's."""
-    lap = 2 * min(workers, tiles)
-    owner = [min(n % lap, lap - 1 - n % lap) for n in range(tiles - 1, -1, -1)]
-    return [[t for t in range(tiles) if owner[t] == s] for s in range(lap // 2)]
-
-
 def _run_shares(logits: np.ndarray, run_tile) -> None:
-    """run_tile(t, buf) on each tile t, buf being logits[t] floats of its share's
-    one scratch buffer. _shares deals one share per CPU, of at least _SHARE_LOGITS
-    logits; the first runs here, the rest on a pool closed on return. numpy drops
-    the interpreter lock in a tile, so run_tile must write only its own tile."""
+    """run_tile(t, buf) on each tile t, buf being logits[t] floats of its thread's
+    one scratch buffer. The calling thread and a pool closed on return, one thread
+    per CPU but at most one per tile and per _SHARE_LOGITS logits, each pop the
+    costliest tile left from one queue. numpy drops the interpreter lock in a
+    tile, so run_tile must write only its own tile."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, int(logits.sum()) // _SHARE_LOGITS))
+    workers = max(1, min(cpus or 1, logits.size, int(logits.sum()) // _SHARE_LOGITS))
+    queue = deque(np.argsort(-logits, kind="stable").tolist())
 
-    def run_share(share):
-        buf = np.empty(logits[share].max())
-        for t in share:
+    def run_queue():
+        buf = np.empty(logits.max())
+        while True:
+            try:
+                t = queue.popleft()
+            except IndexError:
+                return
             run_tile(t, buf[: logits[t]])
 
-    first, *rest = _shares(logits.size, workers)
-    if not rest:
-        run_share(first)
-        return
-    with ThreadPoolExecutor(len(rest)) as pool:
-        results = pool.map(run_share, rest)
-        run_share(first)
-        list(results)  # re-raises a worker's exception
+    if workers == 1:
+        return run_queue()
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(run_queue) for _ in range(workers - 1)]
+        run_queue()
+        for worker in rest:
+            worker.result()  # re-raises a worker's exception
 
 
 def _causal_logits(positions: np.ndarray) -> np.ndarray:

@@ -51,7 +51,6 @@ class DecoderState:
     counts the logits of prefill's _tile calls and of each step's product.
     """
 
-    d: int
     m: int
     cache: np.ndarray
     focal_rows: int = 0
@@ -83,7 +82,7 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     # Exact scoring (none at gamma = 1) computes whole causal tiles.
     scored = int(_causal_logits(np.arange(batch.length)).sum()) if gamma < 1.0 else 0
     r, k = partition.r, partition.k
-    state = DecoderState(batch.width, m, kv, focal_rows=r, group_rows=k, rows=r + k,
+    state = DecoderState(m, kv, focal_rows=r, group_rows=k, rows=r + k,
                          prefill_tokens=batch.length, dots=attended + scored)
     return outputs, state
 
@@ -98,7 +97,7 @@ def decode_step(
     collapsing the oldest m with weights softmax(q . K_member / sqrt(d)) from
     the step's logits; `dots` grows by the columns. Invalid q/k/v change nothing.
     """
-    d = state.d
+    d = state.cache.shape[2]
     qkv = np.concatenate((q_new, k_new, v_new), axis=None, dtype=np.float64)
     if qkv.size != 3 * d or np.size(q_new) != d or np.size(k_new) != d:
         raise InvalidInputError(f"q/k/v must have width {d}")

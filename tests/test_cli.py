@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dgalab import attention
 from dgalab.cli import _COMMANDS, build_parser, load_config, main
 from dgalab.matrixio import write_csv
 
@@ -411,3 +412,15 @@ def test_write_csv_accepts_a_bare_filename(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_csv("bare.csv", ["a", "b"], [[1, 0.5]])
     assert (tmp_path / "bare.csv").read_text() == "a,b\n1,0.5\n"
+
+
+@pytest.mark.parametrize("command", ["dga-check", "decode-bench"])
+def test_defaults_start_no_thread_on_many_cpus(tmp_path, monkeypatch, command):
+    """The defaults' tile loops stay below two shares of _SHARE_LOGITS."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a tile loop made a thread pool")
+
+    monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    monkeypatch.setattr(attention, "ThreadPoolExecutor", no_pool)
+    assert run([command, "--out", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@ against brute force on small edge inputs, and the sampled-score pipeline
 against the oracle."""
 
 import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from dgalab import attention
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.dga import (
     SampleSpec,
+    approx_importance_scores,
     build_group_mask,
     compute_partition,
     dga_attention,
     dga_attention_with_partition,
+    importance_scores_exact,
     partition_tokens,
 )
 from dgalab.matrixio import dump_case
@@ -110,14 +113,14 @@ def test_multi_tile_layout_matches_oracles(case):
     check_against_oracles(*case)
 
 
-def _attend_on(workers, part, batch):
-    """The grouped attend with its tiles dealt to `workers` CPUs, every tile
+def _on_cpus(workers, run):
+    """run() with every tile loop split over `workers` CPUs, every tile
     allowed its own share."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attention.os, "sched_getaffinity", lambda pid: set(range(workers)),
                    raising=False)
         mp.setattr(attention, "_SHARE_LOGITS", 1)
-        return dga_attention_with_partition(batch, part)
+        return run()
 
 
 # Edge inputs: L < m, L = 1, m = 1, gamma = 1/L and 1, d = 1 and logits up to
@@ -126,9 +129,29 @@ def _attend_on(workers, part, batch):
 @given(grouped_cases(st.one_of(st.integers(1, 20), TILE_LENGTHS), st.integers(1, 17)))
 def test_threaded_attend_equals_one_worker_and_the_oracle(case):
     part, batch = case
-    got = _attend_on(3, part, batch)
-    np.testing.assert_array_equal(got, _attend_on(1, part, batch))
+    run = partial(dga_attention_with_partition, batch, part)
+    got = _on_cpus(3, run)
+    np.testing.assert_array_equal(got, _on_cpus(1, run))
     assert_close_or_dump(batch, got, naive_dga_attention(batch, part), atol=1e-12)
+
+
+def _causal_loop_outputs(batch, seed):
+    out, weights = causal_attention(batch)
+    got = [out, weights, importance_scores_exact(batch)]
+    if batch.length >= 240:
+        got.append(approx_importance_scores(batch, SampleSpec(40, 200), RngStream(seed)))
+    return got
+
+
+# One to six 128-row causal tiles, d = 1 to 8 and logits up to +-1000.
+@settings(max_examples=15)
+@given(st.integers(1, 700), st.integers(1, 8), st.sampled_from([1.0, 30.0, 700.0, 1000.0]),
+       st.integers(0, 2**32 - 1))
+def test_threaded_causal_loop_equals_one_worker(L, d, reach, seed):
+    run = partial(_causal_loop_outputs, scaled_batch(seed, L, d, reach), seed)
+    got, want = _on_cpus(3, run), _on_cpus(1, run)
+    for name, g, w in zip(["out", "weights", "exact", "sampled"], got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 @st.composite

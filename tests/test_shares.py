@@ -1,16 +1,18 @@
 """The causal tile loop and the grouped attend spread over worker threads:
-the split, the runner's scratch, its contract, bit-identical outputs at
-every worker count, concurrent callers and a failing tile or visit."""
+the split, the runner's one queue, costliest tile first, and each thread's
+scratch, bit-identical outputs at every worker count, concurrent callers and
+a failing tile or visit on the calling thread or on a worker."""
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from batches import planted_batch, random_batch
 from dgalab import attention, dga
-from dgalab.attention import _causal_tiles, _run_shares, _shares, causal_attention
+from dgalab.attention import _causal_tiles, _run_shares, causal_attention
 from dgalab.decode import prefill
 from dgalab.dga import (
     SampleSpec,
@@ -28,40 +30,67 @@ def _set_workers(monkeypatch, workers, share_logits=1):
     monkeypatch.setattr(attention, "_SHARE_LOGITS", share_logits)
 
 
-def test_shares_cover_every_tile_once_and_balance_tile_ends():
-    for tiles in range(1, 41):
-        for workers in range(1, 9):
-            shares = _shares(tiles, workers)
-            assert sorted(t for share in shares for t in share) == list(range(tiles))
-            assert len(shares) == min(workers, tiles) and all(shares)
-            assert all(share == sorted(share) for share in shares)
-            # Tile t's cost grows with its end row, t + 1 in tile units.
-            work = [sum(t + 1 for t in share) for share in shares]
-            assert max(work) - min(work) <= tiles, (tiles, workers, shares)
+# Ties (12, 12) and more tiles than the most threads, so every thread pops one.
+LOGITS = np.array([7, 3, 12, 1, 9, 12, 4, 5, 2, 8])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_runner_hands_each_tile_its_own_share_buffer(monkeypatch, workers):
-    """Tile t gets exactly logits[t] floats of scratch, every tile of a share
-    starts at its share's one buffer, and the buffers of two shares never
-    overlap."""
+    """Each of `workers` threads pops its tiles costliest first; tile t gets
+    exactly logits[t] floats of scratch, every tile of a thread starts at the
+    thread's one buffer, and the buffers of two threads never overlap. Each
+    thread's first tile waits until every thread holds one."""
     _set_workers(monkeypatch, workers)
-    logits = np.array([7, 3, 12, 1, 9, 12, 4, 5, 2, 8])
-    bufs = {}
+    ran, thread, started = [], threading.local(), threading.Barrier(workers, timeout=10)
 
     def run_tile(t, buf):
-        bufs[t] = buf
+        if not hasattr(thread, "waited"):
+            thread.waited = started.wait()
+        ran.append((threading.get_ident(), t, buf))
 
-    _run_shares(logits, run_tile)
-    assert sorted(bufs) == list(range(logits.size))
-    assert all(bufs[t].shape == (logits[t],) and bufs[t].dtype == np.float64 for t in bufs)
-    shares = _shares(logits.size, workers)
-    assert len(shares) == workers
-    start = {t: bufs[t].__array_interface__["data"][0] for t in bufs}
-    for i, share in enumerate(shares):
-        assert {start[t] for t in share} == {start[share[0]]}
-        for other in shares[i + 1 :]:
-            assert not any(np.shares_memory(bufs[t], bufs[u]) for t in share for u in other)
+    _run_shares(LOGITS, run_tile)
+    assert sorted(t for _, t, _ in ran) == list(range(LOGITS.size))
+    assert all(buf.shape == (LOGITS[t],) and buf.dtype == np.float64 for _, t, buf in ran)
+    threads = {who: [(t, buf) for w, t, buf in ran if w == who] for who, _, _ in ran}
+    assert len(threads) == workers
+    for i, tiles in enumerate(threads.values()):
+        costs = [LOGITS[t] for t, _ in tiles]
+        assert costs == sorted(costs, reverse=True), costs
+        assert len({buf.__array_interface__["data"][0] for _, buf in tiles}) == 1
+        for other in list(threads.values())[i + 1 :]:
+            assert not any(np.shares_memory(buf, b) for _, buf in tiles for _, b in other)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_runner_runs_every_tile_once_under_fast_thread_switches(monkeypatch, workers):
+    _set_workers(monkeypatch, workers)
+    logits = np.random.default_rng(workers).integers(1, 50, size=300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ran = []
+            _run_shares(logits, lambda t, buf: ran.append(t))
+            assert sorted(ran) == list(range(logits.size))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_held_tile_leaves_the_rest_of_the_queue_to_the_other_thread(monkeypatch):
+    """The calling thread's first tile waits until every tile has run, which
+    only a worker that pops all the others can bring about."""
+    _set_workers(monkeypatch, 2)
+    caller, ran, done = threading.get_ident(), [], threading.Event()
+
+    def run_tile(t, buf):
+        ran.append(t)
+        if len(ran) == LOGITS.size:
+            done.set()
+        if threading.get_ident() == caller:
+            assert done.wait(10), ran
+
+    _run_shares(LOGITS, run_tile)
+    assert sorted(ran) == list(range(LOGITS.size))
 
 
 def test_tile_loops_compute_their_logits_in_the_runner_buffers(monkeypatch):
@@ -97,15 +126,66 @@ def test_tile_loops_compute_their_logits_in_the_runner_buffers(monkeypatch):
 
 
 def _spy_workers(monkeypatch):
-    """The worker counts that _shares is asked for, one per split loop."""
-    real_shares, workers = attention._shares, []
+    """The threads of each runner call: its pool's max_workers plus the
+    calling thread, or 1 when it makes no pool."""
+    real_run, workers = attention._run_shares, []
 
-    def spy(tiles, w):
-        workers.append(w)
-        return real_shares(tiles, w)
+    def run_spy(logits, run_tile):
+        workers.append(1)
+        real_run(logits, run_tile)
 
-    monkeypatch.setattr(attention, "_shares", spy)
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers[-1] += max_workers
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(attention, "ThreadPoolExecutor", Pool)
+    for module in (attention, dga):
+        monkeypatch.setattr(module, "_run_shares", run_spy)
     return workers
+
+
+def _spy_threads(monkeypatch, module, fail=None):
+    """The threads that run module._tile's masked tiles. While a runner's pool
+    is open, each thread's first such tile waits (10 s at most) until one has
+    started on the other side, the calling thread or a worker, so a split loop
+    runs on both sides whichever is quicker. fail ("caller" or "worker") makes
+    that side's first tile raise once both sides have started."""
+    real_tile, caller, threads, pool = module._tile, threading.get_ident(), set(), [None]
+
+    class Pool(ThreadPoolExecutor):
+        def __enter__(self):
+            pool[0] = {"seen": set(), "caller": threading.Event(), "worker": threading.Event()}
+            return super().__enter__()
+
+        def __exit__(self, *exc):
+            pool[0] = None
+            return super().__exit__(*exc)
+
+    def spy(q, blocks, rows=None, *args, **kwargs):
+        me, sides = threading.get_ident(), pool[0]
+        if rows is not None:
+            threads.add(me)
+            if sides is not None and me not in sides["seen"]:
+                sides["seen"].add(me)
+                side = "caller" if me == caller else "worker"
+                sides[side].set()
+                sides["worker" if side == "caller" else "caller"].wait(10)
+                if side == fail:
+                    raise RuntimeError(f"first tile on the {side}")
+        return real_tile(q, blocks, rows, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(module, "_tile", spy)
+    return threads
+
+
+def test_runner_starts_no_more_threads_than_tiles(monkeypatch):
+    _set_workers(monkeypatch, 8)
+    workers = _spy_workers(monkeypatch)
+    for tiles in (1, 3, 8, 20):
+        attention._run_shares(np.full(tiles, 5), lambda t, buf: None)
+    assert workers == [1, 3, 8, 8]
 
 
 # 2 * _SHARE_LOGITS = 262144 logits: 245760 at L = 640 (5 full tiles),
@@ -122,10 +202,11 @@ def test_loops_of_few_tiles_run_on_the_calling_thread(monkeypatch, L, want):
 def test_attend_runs_on_the_calling_thread_at_L_1024_and_splits_at_2048(monkeypatch, batch):
     """The benchmark's probe sizes: m = 16, gamma = 0.1, d = 64."""
     _set_workers(monkeypatch, 8, attention._SHARE_LOGITS)
+    workers = _spy_workers(monkeypatch)
     for L, split in ((1024, False), (2048, True)):
         b = batch(np.random.default_rng(L), L, 64)
         part = compute_partition(b, 16, 0.1, SampleSpec(16, 16), RngStream(L))
-        workers = _spy_workers(monkeypatch)
+        workers.clear()
         dga_attention_with_partition(b, part)
         assert len(workers) == 1 and (workers[0] > 1) == split, (L, workers)
 
@@ -162,21 +243,13 @@ def _outputs(L):
 def test_outputs_are_bit_identical_at_every_worker_count(monkeypatch, L):
     _set_workers(monkeypatch, 1)
     want = _outputs(L)
-    real_tile, threads = attention._tile, set()
-
-    def spy(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real_tile(*args, **kwargs)
-
-    monkeypatch.setattr(attention, "_tile", spy)
+    threads = _spy_threads(monkeypatch, attention)
     for workers in (1, 2, 3, 5):
         _set_workers(monkeypatch, workers)
         threads.clear()
         got = _outputs(L)
         for name in want:
             assert np.array_equal(got[name], want[name]), (workers, name)
-        # One share runs on the calling thread alone; more shares add at
-        # least one pool thread, which may take several shares.
         assert len(threads) == 1 if workers == 1 else len(threads) >= 2
 
 
@@ -193,14 +266,7 @@ def test_attend_and_prefill_are_bit_identical_at_every_worker_count(monkeypatch,
     b = batch(np.random.default_rng(L), L, 64)
     _set_workers(monkeypatch, 1)
     want = _prefill_outputs(b)
-    real_tile, threads = dga._tile, set()
-
-    def spy(q, blocks, rows=None, *args, **kwargs):
-        if rows is not None:
-            threads.add(threading.get_ident())
-        return real_tile(q, blocks, rows, *args, **kwargs)
-
-    monkeypatch.setattr(dga, "_tile", spy)
+    threads = _spy_threads(monkeypatch, dga)
     for workers in (1, 2, 3, 5):
         _set_workers(monkeypatch, workers)
         threads.clear()
@@ -244,51 +310,42 @@ def test_concurrent_callers_share_no_buffer(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
-@pytest.mark.parametrize("L", [256, 300])  # tile 1 on the calling thread, then on a worker
+@pytest.mark.parametrize("L", [256, 300])  # 2 and 3 causal tiles
 def test_failing_tile_raises_and_leaves_no_thread(monkeypatch, L):
     _set_workers(monkeypatch, 2)
-    real_tile = attention._tile
-
-    def failing(q, blocks, rows=None, *args, **kwargs):
-        if rows is not None and rows[0] == 128:
-            raise RuntimeError("tile at row 128")
-        return real_tile(q, blocks, rows, *args, **kwargs)
-
-    monkeypatch.setattr(attention, "_tile", failing)
+    batch = random_batch(np.random.default_rng(0), L, 4)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="tile at row 128"):
-        causal_attention(random_batch(np.random.default_rng(0), L, 4))
-    assert threading.active_count() == before
+    for side in ("caller", "worker"):
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_threads(mp, attention, fail=side)
+            with pytest.raises(RuntimeError, match=f"first tile on the {side}"):
+                causal_attention(batch)
+        assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("L", [256, 300])  # tile 1 on the calling thread, then on a worker
+@pytest.mark.parametrize("L", [256, 300])  # 2 and 3 causal tiles
 def test_failing_visit_raises_and_leaves_no_thread(monkeypatch, L):
     _set_workers(monkeypatch, 2)
-
-    def visit(rows, e, sums):
-        if rows[0] == 128:
-            raise RuntimeError("visit at row 128")
-
+    _spy_threads(monkeypatch, attention)
+    batch, caller = random_batch(np.random.default_rng(0), L, 4), threading.get_ident()
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="visit at row 128"):
-        _causal_tiles(random_batch(np.random.default_rng(0), L, 4), np.arange(L), visit)
-    assert threading.active_count() == before
+    for side in ("caller", "worker"):
+        def visit(rows, e, sums):
+            if (threading.get_ident() == caller) == (side == "caller"):
+                raise RuntimeError(f"visit on the {side}")
+
+        with pytest.raises(RuntimeError, match=f"visit on the {side}"):
+            _causal_tiles(batch, np.arange(L), visit)
+        assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("row", [64, 192])  # tile 1 on a worker, tile 3 on the calling thread
-def test_failing_attend_tile_raises_and_leaves_no_thread(monkeypatch, row):
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_failing_attend_tile_raises_and_leaves_no_thread(monkeypatch, side):
     _set_workers(monkeypatch, 2)
     batch = random_batch(np.random.default_rng(0), 256, 4)
     part = compute_partition(batch, 4, 0.1)
-    real_tile = dga._tile
-
-    def failing(q, blocks, rows=None, *args, **kwargs):
-        if rows is not None and rows[0] == row:
-            raise RuntimeError(f"tile at row {row}")
-        return real_tile(q, blocks, rows, *args, **kwargs)
-
-    monkeypatch.setattr(dga, "_tile", failing)
+    _spy_threads(monkeypatch, dga, fail=side)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"tile at row {row}"):
+    with pytest.raises(RuntimeError, match=f"first tile on the {side}"):
         dga_attention_with_partition(batch, part)
     assert threading.active_count() == before
