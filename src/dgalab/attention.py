@@ -103,8 +103,8 @@ def _run_shares(logits: np.ndarray, run_tile) -> None:
     """run_tile(t, buf) on each tile t, buf being logits[t] floats of its thread's
     one scratch buffer. The calling thread and a pool closed on return, one thread
     per CPU but at most one per tile and per _SHARE_LOGITS logits, each pop the
-    costliest tile left from one queue. numpy drops the interpreter lock in a
-    tile, so run_tile must write only its own tile."""
+    costliest tile left from one queue, which a tile that raises empties. numpy
+    drops the interpreter lock in a tile, so run_tile must write only its own tile."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cpus or 1, logits.size, int(logits.sum()) // _SHARE_LOGITS))
     queue = deque(np.argsort(-logits, kind="stable").tolist())
@@ -116,7 +116,11 @@ def _run_shares(logits: np.ndarray, run_tile) -> None:
                 t = queue.popleft()
             except IndexError:
                 return
-            run_tile(t, buf[: logits[t]])
+            try:
+                run_tile(t, buf[: logits[t]])
+            except BaseException:
+                queue.clear()  # no thread starts another tile
+                raise
 
     if workers == 1:
         return run_queue()

@@ -303,3 +303,130 @@ class TestKlUnderNoise:
         assert parsed == [tuple(map(float, row)) for row in rows]
         write_csv(str(tmp_path / "b.csv"), header, parsed)
         assert (tmp_path / "b.csv").read_text() == text
+
+
+# Bit-for-bit pins: the noise estimators against test-local copies of their
+# allocating formulas (a fresh array per step), compared with ==.
+
+
+def ref_softmax_rows(mat):
+    e = mat - mat.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def ref_ratio(changed, baseline):
+    var_changed = np.var(changed, axis=0, ddof=1)
+    return float(var_changed.mean() / np.var(baseline, axis=0, ddof=1).mean())
+
+
+def ref_plain_noise(alpha_tilde, sigma, trials, rng):
+    gen = rng.generator()
+    plain = sigma * gen.standard_normal((trials, alpha_tilde.size))
+    return gen, ref_softmax_rows(alpha_tilde + plain), ref_softmax_rows(alpha_tilde)
+
+
+def ref_perturbation_variance(alpha, j, sigma, trials, rng):
+    predicted = float(alpha[j] ** 2 * (1.0 + np.sum(alpha**2) - 2.0 * alpha[j]) * sigma**2)
+    with np.errstate(divide="ignore"):
+        alpha_tilde = np.where(alpha > 0, np.log(alpha), -np.inf)
+    noise = sigma * rng.generator().standard_normal((trials, alpha.size))
+    perturbed = ref_softmax_rows(alpha_tilde + noise)
+    return float(np.var(perturbed[:, j], ddof=1)), predicted
+
+
+def ref_grouped_variance_ratio(alpha_tilde, m, sigma, trials, rng):
+    gen, noisy, clean = ref_plain_noise(alpha_tilde, sigma, trials, rng)
+    group_draws = sigma * gen.standard_normal((trials, alpha_tilde.size // m))
+    spread = np.repeat(group_draws, m, axis=1) / m
+    return ref_ratio(ref_softmax_rows(alpha_tilde + spread) - clean, noisy - clean)
+
+
+def ref_ambient_variance_ratio(alpha_tilde, m, sigma, trials, rng):
+    _, noisy, clean = ref_plain_noise(alpha_tilde, sigma, trials, rng)
+    k = alpha_tilde.size // m
+
+    def regroup(rows):
+        return np.repeat(rows.reshape(rows.shape[0], k, m).mean(axis=2), m, axis=1)
+
+    return ref_ratio(regroup(noisy) - regroup(clean[None, :]), noisy - clean)
+
+
+def ref_kl_under_noise(inst, groups, sigmas, trials, rng):
+    logits = inst.v @ inst.y
+    block_logits = build_grouping_matrix(groups.L, groups.m) @ logits
+    clean, clean_grouped = ref_softmax_rows(logits), ref_softmax_rows(block_logits)
+
+    def mean_kl(p, q_rows):
+        support = p > 0
+        ps = p[support]
+        with np.errstate(divide="ignore"):
+            logq = np.log(q_rows[:, support])
+        return float(np.mean((ps * (np.log(ps) - logq)).sum(axis=1)))
+
+    rows = []
+    for si, sigma in enumerate(sigmas):
+        gen = rng.child(si).generator()
+        noisy = ref_softmax_rows(logits + sigma * gen.standard_normal((trials, groups.L)))
+        noisy_grouped = ref_softmax_rows(
+            block_logits + sigma * gen.standard_normal((trials, groups.k)))
+        rows.append((float(sigma), mean_kl(clean, noisy), mean_kl(clean_grouped, noisy_grouped)))
+    return rows
+
+
+# (L, m, sigma, trials): m = 1 and m = L, two trials, and more trials than a
+# numpy buffer of 8192 holds.
+NOISE_CELLS = [(8, 1, 1e-3, 2), (8, 2, 0.5, 2), (8, 8, 3.0, 7), (12, 3, 1e-2, 1000),
+               (12, 1, 2.0, 333), (32, 4, 1e-2, 10_000), (32, 32, 0.3, 9000)]
+
+
+def noise_logits(L, seed):
+    """Zero logits for even seeds; spread ones, some 40 below the top, for odd."""
+    if seed % 2 == 0:
+        return np.zeros(L)
+    logits = np.random.default_rng(seed).normal(scale=3.0, size=L)
+    logits[::5] -= 40.0
+    return logits
+
+
+@pytest.mark.parametrize("L, m, sigma, trials", NOISE_CELLS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_variance_ratios_are_bit_identical_to_the_allocating_formula(L, m, sigma, trials, seed):
+    logits, rng = noise_logits(L, seed), RngStream(50 + seed).child(L * m)
+    for got_fn, want_fn in ((grouped_variance_ratio, ref_grouped_variance_ratio),
+                            (ambient_variance_ratio, ref_ambient_variance_ratio)):
+        before = logits.copy()
+        got = got_fn(logits, m, sigma, trials, rng)
+        assert got == want_fn(logits, m, sigma, trials, rng), got_fn.__name__
+        assert np.array_equal(logits, before)
+
+
+@pytest.mark.parametrize("L, m, sigma, trials", NOISE_CELLS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_perturbation_variance_is_bit_identical_to_the_allocating_formula(
+        L, m, sigma, trials, seed):
+    """Weights from the same logits, so odd seeds hold exact zeros (log -inf)."""
+    logits = noise_logits(L, seed)
+    logits[::5] -= 800.0 * seed
+    alpha = softmax(logits)
+    alpha /= alpha.sum()
+    rng = RngStream(60 + seed).child(L * m)
+    for j in sorted({0, 1, L - 1}):
+        before = alpha.copy()
+        got = perturbation_variance(alpha, j, sigma, trials, rng.child(j))
+        assert got == ref_perturbation_variance(alpha, j, sigma, trials, rng.child(j)), j
+        assert np.array_equal(alpha, before)
+
+
+@pytest.mark.parametrize("L, m", [(8, 1), (8, 2), (8, 8), (12, 3)])
+@pytest.mark.parametrize("trials", [1, 2, 500, 9000])
+@pytest.mark.parametrize("spread", [1.0, 300.0])
+def test_kl_under_noise_is_bit_identical_to_the_allocating_formula(L, m, trials, spread):
+    """spread 300 puts some clean weights at exact zero, so the KL runs on a
+    support smaller than L, and some noisy ones too (KL inf)."""
+    gen = np.random.default_rng(L * m + trials)
+    inst = CodingInstance(spread * gen.normal(size=(L, 4)), gen.normal(size=4))
+    sigmas, rng = [0.0, 1e-3, 0.5, 5.0], RngStream(70).child(trials)
+    got = kl_under_noise(inst, GroupStructure(L, m), sigmas, trials, rng)
+    assert got == ref_kl_under_noise(inst, GroupStructure(L, m), sigmas, trials, rng)

@@ -57,6 +57,21 @@ class TestSoftmax:
         np.testing.assert_array_equal(softmax_rows(mat), e / e.sum(axis=-1, keepdims=True))
         np.testing.assert_array_equal(mat, before)
 
+    def test_vector_input_is_left_as_it_was(self):
+        v = np.array([3.0, -1.0, 0.5, 1000.0])
+        before = v.copy()
+        softmax(v)
+        np.testing.assert_array_equal(v, before)
+
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "strided"])
+    def test_rows_input_is_left_as_it_was(self, view):
+        mat = np.random.default_rng(7).normal(scale=30.0, size=(40, 24))
+        mat = {"contiguous": mat, "transposed": mat.T, "strided": mat[::3, 1::2]}[view]
+        before = mat.copy()
+        got = softmax_rows(mat)
+        np.testing.assert_array_equal(mat, before)
+        assert not np.shares_memory(got, mat)
+
 
 def brute_force_simplex_projection(v, steps=2001):
     """Grid search over the 1-simplex; oracle for 2-D projections."""

@@ -5,6 +5,7 @@ a failing tile or visit on the calling thread or on a worker."""
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -349,3 +350,25 @@ def test_failing_attend_tile_raises_and_leaves_no_thread(monkeypatch, side):
     with pytest.raises(RuntimeError, match=f"first tile on the {side}"):
         dga_attention_with_partition(batch, part)
     assert threading.active_count() == before
+
+
+def test_a_failing_tile_stops_the_queue(monkeypatch):
+    """The worker's first tile raises while the caller holds its own first
+    tile; once it has raised, at most one more tile starts (one the caller
+    may pop before the queue is cleared), not every tile left."""
+    _set_workers(monkeypatch, 2)
+    caller, failed, after = threading.get_ident(), threading.Event(), []
+
+    def run_tile(t, buf):
+        if failed.is_set():
+            after.append(t)
+            time.sleep(0.05)  # the failing thread may still be clearing the queue
+        elif threading.get_ident() == caller:
+            assert failed.wait(10)
+        else:
+            failed.set()
+            raise RuntimeError("first tile on the worker")
+
+    with pytest.raises(RuntimeError, match="first tile on the worker"):
+        _run_shares(LOGITS, run_tile)
+    assert len(after) <= 1, after

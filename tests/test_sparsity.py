@@ -338,3 +338,118 @@ class TestSparsityProfile:
     def test_mixture_source_draws(self):
         rows = sample_weight_rows(mixture_source(), 64, 50, RngStream(15))
         np.testing.assert_allclose(rows.sum(axis=1), np.ones(50), atol=1e-12)
+
+
+# Bit-for-bit pins: the draws, the weight rows and the bound against
+# test-local copies of their allocating formulas, compared with ==.
+
+
+def ref_attention_draw(d):
+    def draw(rng, n, L):
+        gen = rng.generator()
+        scale = np.linalg.norm(gen.standard_normal((n, d)), axis=1) / np.sqrt(d)
+        return gen.standard_normal((n, L)) * scale[:, None]
+
+    return draw
+
+
+def ref_softmax_rows(mat):
+    e = mat - mat.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def ref_bound(draw, L, rho, x_grid, trials, rng):
+    log_thresh = np.log(L * rho - 1.0)
+    block = max(1, 4_000_000 // L)
+    log_head, log_tail = np.empty(trials), np.empty(trials)
+    for start in range(0, trials, block):
+        stop = min(trials, start + block)
+        logits = draw(rng.child(start), stop - start, L)
+        log_head[start:stop] = logits[:, 0]
+        rest = logits[:, 1:]
+        peak = rest.max(axis=1)
+        log_tail[start:stop] = peak + np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+    if x_grid is None:
+        lo, hi = np.percentile(log_head, [1.0, 99.0])
+        grid_logs = np.linspace(lo, hi, 32)
+    else:
+        grid_logs = np.log(np.sort(np.asarray(x_grid, dtype=np.float64)))
+    best = (-np.inf, 0.0)
+    for lx in grid_logs:
+        u = ((log_head <= lx) | (log_thresh + lx <= log_tail)).mean()
+        bound = float(np.clip(1.0 - u**L, 0.0, 1.0))
+        if bound > best[0]:
+            best = (bound, float(L * u ** (L - 1) * np.sqrt(u * (1.0 - u) / trials)))
+    return best
+
+
+PIN_SOURCES = [gaussian_source(), student_t_source(), mixture_source(), attention_source(1),
+               attention_source(16)]
+
+
+@pytest.mark.parametrize("source", PIN_SOURCES, ids=lambda s: s.name)
+@pytest.mark.parametrize("n, L", [(0, 4), (1, 1), (2, 2), (300, 64), (9000, 5)])
+def test_weight_rows_are_bit_identical_to_the_allocating_formula(source, n, L):
+    rng = RngStream(80).child(n + L)
+    got = sample_weight_rows(source, L, n, rng)
+    assert got.shape == (n, L) and (got == ref_softmax_rows(source.draw(rng, n, L))).all()
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+@pytest.mark.parametrize("n, L", [(0, 4), (1, 1), (2, 2), (300, 64)])
+def test_attention_draw_is_bit_identical_to_the_allocating_formula(d, n, L):
+    rng = RngStream(81).child(d)
+    got = attention_source(d).draw(rng, n, L)
+    assert got.shape == (n, L) and (got == ref_attention_draw(d)(rng, n, L)).all()
+
+
+# (L, rho, x_grid, trials): L = 2, a given grid, and L = 512 in two chunks.
+BOUND_CELLS = [(2, 1.0, None, 10_000), (16, 0.5, [0.3, 2.0, 1.0], 10_000),
+               (64, 0.05, None, 12_345), (512, 0.02, None, 10_000)]
+
+
+@pytest.mark.parametrize("source", PIN_SOURCES, ids=lambda s: s.name)
+@pytest.mark.parametrize("L, rho, x_grid, trials", BOUND_CELLS)
+def test_bound_is_bit_identical_to_the_allocating_formula(source, L, rho, x_grid, trials):
+    rng = RngStream(82).child(L)
+    got = p_sparse_lower_bound_detail(source, L, rho, x_grid, trials, rng)
+    assert (got.bound, got.standard_error) == ref_bound(source.draw, L, rho, x_grid, trials, rng)
+
+
+def fixed_source(n, L):
+    """A source whose draw returns one and the same (n, L) array every call."""
+    logits = np.random.default_rng(83).standard_t(2.0, size=(n, L))
+    calls = []
+
+    def draw(rng, rows, cols):
+        assert (rows, cols) == (n, L)
+        calls.append(rows)
+        return logits
+
+    return LogitSource("fixed", draw), logits, calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda source: sample_weight_rows(source, 16, 10_000, RngStream(84)),
+        lambda source: p_sparse_lower_bound_detail(source, 16, 0.5, None, 10_000, RngStream(84)),
+        lambda source: sparsity_profile(source, [16], [0.25, 0.5], 10_000, RngStream(84)),
+    ],
+    ids=["sample_weight_rows", "p_sparse_lower_bound_detail", "sparsity_profile"],
+)
+def test_a_drawn_array_is_never_written(run):
+    """Each call reads the one array the source returns and leaves it as it
+    was, so a second call gives the same result."""
+    source, logits, calls = fixed_source(10_000, 16)
+    before = logits.copy()
+    first = run(source)
+    assert np.array_equal(logits, before)
+    second = run(source)
+    assert np.array_equal(logits, before) and len(calls) >= 2
+    if isinstance(first, np.ndarray):
+        assert np.array_equal(first, second) and not np.shares_memory(first, logits)
+    else:
+        assert first == second
