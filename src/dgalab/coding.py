@@ -6,6 +6,8 @@ contiguous block of m tokens, replacing the value rows by their block
 averages. The module also quantifies how grouping changes the optimization
 landscape (Hessian spectra, condition numbers) and how it damps additive
 logit noise (first-order softmax perturbation, variance ratios, KL drift).
+The noise estimators overwrite only their own draws: each (trials, L) draw is
+scaled, shifted, softmaxed, centred and squared in place; no argument is written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .numerics import (
     condition_number,
     project_to_simplex,
     softmax,
-    softmax_rows,
+    softmax_into,
     sym_eigenvalues,
 )
 from .rng import RngStream
@@ -201,6 +203,21 @@ def _check_trials(trials: int, least: int) -> None:
         raise InvalidInputError(f"trials must be at least {least}; got {trials!r}")
 
 
+def _noisy_softmax(gen, logits: np.ndarray, sigma: float, trials: int, cols=slice(None)):
+    """Rows softmax(logits + sigma z), z ~ N(0, 1) (trials, L), in z's one array."""
+    x = gen.standard_normal((trials, logits.size))
+    np.add(np.multiply(x, sigma, out=x), logits, out=x)
+    return softmax_into(x, x, cols)
+
+
+def _mean_var(x: np.ndarray, clean: np.ndarray) -> float:
+    """Mean over columns of np.var(x - clean, axis=0, ddof=1), np.var's steps in x."""
+    x -= clean
+    x -= x.sum(axis=0, keepdims=True) / x.shape[0]
+    np.square(x, out=x)
+    return (x.sum(axis=0) / (x.shape[0] - 1)).mean()
+
+
 def perturbation_variance(
     alpha, j: int, sigma: float, trials: int, rng: RngStream
 ) -> tuple[float, float]:
@@ -223,30 +240,21 @@ def perturbation_variance(
         return 0.0, 0.0
     with np.errstate(divide="ignore"):
         alpha_tilde = np.where(alpha > 0, np.log(alpha), -np.inf)
-    noise = sigma * rng.generator().standard_normal((trials, alpha.size))
-    perturbed = softmax_rows(alpha_tilde + noise)
-    empirical = float(np.var(perturbed[:, j], ddof=1))
-    return empirical, predicted
+    perturbed = _noisy_softmax(rng.generator(), alpha_tilde, sigma, trials, slice(j, j + 1))
+    return float(np.var(perturbed[:, j], ddof=1)), predicted
 
 
 def _plain_noise(alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream):
     """Shared start of the two variance ratios: check m and sigma, draw one
     N(0, sigma^2) per logit, and return the blocks of m, the generator after
-    that draw, the noisy softmax rows and the clean softmax."""
+    that draw, the noisy softmax rows (in the draw's array) and the clean softmax."""
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
     groups = GroupStructure(alpha_tilde.size, m)
     if not 0 < sigma < np.inf:
         raise InvalidInputError("sigma must be positive and finite")
     _check_trials(trials, 2)
     gen = rng.generator()
-    plain = sigma * gen.standard_normal((trials, alpha_tilde.size))
-    return groups, gen, softmax_rows(alpha_tilde + plain), softmax(alpha_tilde)
-
-
-def _variance_ratio(changed: np.ndarray, baseline: np.ndarray) -> float:
-    """Mean per-column variance of `changed` over that of `baseline`."""
-    var_changed = np.var(changed, axis=0, ddof=1)
-    return float(var_changed.mean() / np.var(baseline, axis=0, ddof=1).mean())
+    return groups, gen, _noisy_softmax(gen, alpha_tilde, sigma, trials), softmax(alpha_tilde)
 
 
 def grouped_variance_ratio(
@@ -263,9 +271,9 @@ def grouped_variance_ratio(
     """
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
     groups, gen, noisy, clean = _plain_noise(alpha_tilde, m, sigma, trials, rng)
-    group_draws = sigma * gen.standard_normal((trials, groups.k))
-    spread = np.repeat(group_draws, m, axis=1) / m
-    return _variance_ratio(softmax_rows(alpha_tilde + spread) - clean, noisy - clean)
+    spread = np.repeat(sigma * gen.standard_normal((trials, groups.k)) / m, m, axis=1)
+    spread += alpha_tilde
+    return float(_mean_var(softmax_into(spread, spread), clean) / _mean_var(noisy, clean))
 
 
 def ambient_variance_ratio(
@@ -283,7 +291,7 @@ def ambient_variance_ratio(
         shared = rows.reshape(rows.shape[0], groups.k, m).mean(axis=2)
         return np.repeat(shared, m, axis=1)
 
-    return _variance_ratio(regroup(noisy) - regroup(clean[None, :]), noisy - clean)
+    return float(_mean_var(regroup(noisy), regroup(clean[None, :])) / _mean_var(noisy, clean))
 
 
 def kl_under_noise(
@@ -316,20 +324,17 @@ def kl_under_noise(
     def mean_kl(p, q_rows):
         support = p > 0
         ps = p[support]
-        with np.errstate(divide="ignore"):
-            logq = np.log(q_rows[:, support])
-        return float(np.mean((ps * (np.log(ps) - logq)).sum(axis=1)))
+        with np.errstate(divide="ignore"):  # [:, support] is one column-major copy
+            logq = np.log(q_rows, out=q_rows)[:, support]
+        np.subtract(np.log(ps), logq, out=logq)
+        return float(np.mean(np.multiply(logq, ps, out=logq).sum(axis=1)))
 
     rows = []
     for si, sigma in enumerate(sigmas):
         gen = rng.child(si).generator()
-        noisy = softmax_rows(logits + sigma * gen.standard_normal((trials, groups.L)))
-        noisy_grouped = softmax_rows(
-            block_logits + sigma * gen.standard_normal((trials, groups.k))
-        )
+        noisy = _noisy_softmax(gen, logits, sigma, trials)
+        noisy_grouped = _noisy_softmax(gen, block_logits, sigma, trials)
         # KL on the per-member effective distribution equals the
         # block-level KL because each block spreads its weight evenly.
-        rows.append(
-            (sigma, mean_kl(clean, noisy), mean_kl(clean_grouped, noisy_grouped))
-        )
+        rows.append((sigma, mean_kl(clean, noisy), mean_kl(clean_grouped, noisy_grouped)))
     return rows

@@ -14,6 +14,8 @@ exp(xi_k)} (if both fail, coordinate j already exceeds the threshold), so
 where the outer product step assumes the negative dependence of weights
 that share a normalizer. The guarantee is verified only for i.i.d. logit
 samplers; sources with dependent coordinates are reported, never asserted.
+An array a LogitSource's draw returns is only read: the weight rows and the
+bound's log-sum-exp are computed in one new array each.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def attention_source(d: int = 16) -> LogitSource:
     def draw(rng, n, L):
         gen = rng.generator()
         scale = np.linalg.norm(gen.standard_normal((n, d)), axis=1) / np.sqrt(d)
-        return gen.standard_normal((n, L)) * scale[:, None]
+        z = gen.standard_normal((n, L))
+        return np.multiply(z, scale[:, None], out=z)
 
     return LogitSource(f"attention(d={d})", draw)
 
@@ -172,10 +175,11 @@ def p_sparse_lower_bound_detail(
         stop = min(trials, start + block)
         logits = source.draw(rng.child(start), stop - start, L)
         log_head[start:stop] = logits[:, 0]
-        # log sum_{k != 0} exp(logits[:, k]), shifted by the row max
+        # log sum_{k != 0} exp(logits[:, k]), shifted by the row max, in one new array
         rest = logits[:, 1:]
         peak = rest.max(axis=1)
-        log_tail[start:stop] = peak + np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+        e = rest - peak[:, None]
+        log_tail[start:stop] = peak + np.log(np.exp(e, out=e).sum(axis=1))
     if x_grid is None:
         lo, hi = np.percentile(log_head, [1.0, 99.0])
         grid_logs = np.linspace(lo, hi, 32)
