@@ -1,5 +1,6 @@
 """Reference causal attention against a double-loop oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -145,3 +146,66 @@ def test_query_scaling_equals_logit_scaling_when_root_d_is_a_power_of_two(d):
     want = np.exp(logits - logits.max(axis=-1, keepdims=True))
     np.testing.assert_array_equal(e, want)
     np.testing.assert_array_equal(sums, want.sum(axis=-1))
+
+
+def pinned_tile(q, blocks, rows=None, since=None, until=None):
+    """_tile's arithmetic, copied here so that a rewrite must keep its bits:
+    scaled queries, one product per block, the band hidden at -inf, the row
+    max subtracted, then exp and row sums."""
+    q = q * (1.0 / math.sqrt(q.shape[-1]))
+    out = np.empty(q.shape[:-1] + (sum(block.shape[-2] for block in blocks),))
+    col = 0
+    for block in blocks:
+        width = block.shape[-2]
+        np.matmul(q, block.swapaxes(-1, -2), out=out[..., col : col + width])
+        col += width
+    if rows is not None:
+        i = rows[:, None]
+        np.copyto(out[..., col - since.size :], -np.inf, where=~((since <= i) & (i < until)))
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    return out, out.sum(axis=-1)
+
+
+def _tile_queries(rng, n, d, blocks, reach):
+    """(n, d) queries scaled so the largest |logit| over blocks is reach; the
+    last two rows are +0 and -0, so their logits and row max are zeros."""
+    q = rng.normal(size=(n, d))
+    q *= reach / np.abs(q @ np.vstack(blocks).T / np.sqrt(d)).max()
+    q[-2:] = [[0.0], [-0.0]]
+    return q
+
+
+@pytest.mark.parametrize("reach", [1.0, 30.0, 700.0, 1000.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_tile_keeps_its_pinned_bits(reach, seed):
+    """_tile's (e, sums) equal pinned_tile's with ==, unmasked, masked as the
+    causal loop masks (into a strided weight-matrix view), masked as the
+    grouped attend masks, and batched in the (k, 1, m) pooling form."""
+    rng = np.random.default_rng(seed)
+    d, L = 8, 150
+    keys = rng.normal(size=(L, d))
+    cases = []
+    blocks = [keys[:30], keys[40:41], keys[50:90]]
+    cases.append((_tile_queries(rng, 9, d, blocks, reach), blocks, (), np.empty((9, 71))))
+    start, end = 20, 100  # causal: rows [20, 100) over K[:100], band above the diagonal
+    weights = np.zeros((L, L))
+    rows = np.arange(start, end)
+    cases.append((_tile_queries(rng, end - start, d, [keys[:end]], reach), [keys[:end]],
+                  (rows, np.arange(start + 1, end), end), weights[start:end, :end]))
+    blocks = [keys[:12], keys[60:70], keys[100:140]]  # grouped: 12 + 10 columns seen by every row
+    since = rng.integers(0, 64, 40)
+    until = since + rng.integers(1, 64, 40)
+    cases.append((_tile_queries(rng, 64, d, blocks, reach), blocks,
+                  (np.arange(64), since, until), np.empty((64, 62))))
+    k, m = 7, 4
+    members = rng.normal(size=(k, m, d))
+    q = _tile_queries(rng, k, d, [members.reshape(-1, d)], reach)[:, None]
+    cases.append((q, [members], (), np.empty((k, 1, m))))
+    for q, blocks, masked, out in cases:
+        want_e, want_sums = pinned_tile(q, blocks, *masked)
+        e, sums = _tile(q, blocks, *masked, out=out)
+        assert np.shares_memory(e, out)
+        assert e.shape == want_e.shape and (e == want_e).all()
+        assert sums.shape == want_sums.shape and (sums == want_sums).all()
+        assert np.isfinite(e).all() and (e.max(axis=-1) == 1.0).all()

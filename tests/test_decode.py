@@ -1,6 +1,8 @@
 """Incremental decoding: caches, aggregation rule, and cost ledgers."""
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -377,3 +379,52 @@ def test_decode_session_matches_oracle_and_keeps_its_invariants(case):
         tokens = state.focal_rows + m * state.group_rows + state.tail_rows
         assert tokens == state.total_tokens == L + step + 1
         assert state.tail_rows < regroup_threshold(m)
+
+
+def pinned_step(state, q, k, v):
+    """decode_step's arithmetic on valid input, copied here so that a rewrite
+    must keep its bits. Returns the output and, at a regroup, how far the
+    members' max logit lies below the step's."""
+    d, rows, m = state.cache.shape[2], state.rows, state.m
+    if rows == state.cache.shape[1]:
+        state.cache = np.concatenate([state.cache, np.empty((2, rows, d))], axis=1)
+    cache = state.cache
+    cache[:, rows] = k, v
+    rows += 1
+    state.generated += 1
+    e = (q * (1.0 / math.sqrt(d))) @ cache[0, :rows].T
+    state.dots += rows
+    g, gap = state.focal_rows + state.group_rows, None
+    if rows - g >= regroup_threshold(m):
+        w = e[None, g : g + m] - e[g : g + m].max()
+        np.exp(w, out=w)
+        gap = e.max() - e[g : g + m].max()
+    e -= e.max()
+    np.exp(e, out=e)
+    out = e @ cache[1, :rows] / e.sum()
+    if gap is not None:
+        cache[:, g] = (w @ cache[:, g : g + m])[..., 0, :] / w.sum(axis=-1)
+        cache[:, g + 1 : rows - m + 1] = cache[:, g + m : rows]
+        state.group_rows += 1
+        rows -= m - 1
+    state.rows = rows
+    return out, gap
+
+
+@pytest.mark.parametrize("reach, focal", [(1.0, False), (1000.0, False), (1000.0, True)])
+def test_decode_session_keeps_its_pinned_bits(reach, focal):
+    """300 steps at m = 4 give pinned_step's outputs, live cache rows and dots
+    with ==. With focal, every regroup's members sit 800 or more below the
+    step's max logit, where the step's own weights for them underflow to 0."""
+    batch, steps = scaled_session(np.random.default_rng(27), 40, 8, 300, reach, focal)
+    _, state = prefill(batch, 4, 0.1)
+    pinned, gaps = copy.deepcopy(state), []
+    for q, k, v in steps:
+        got, state = decode_step(state, q, k, v)
+        want, gap = pinned_step(pinned, q, k, v)
+        assert (got == want).all()
+        gaps += [gap] if gap is not None else []
+    assert (state.rows, state.group_rows, state.dots) == (pinned.rows, pinned.group_rows,
+                                                         pinned.dots)
+    assert (state.cache[:, : state.rows] == pinned.cache[:, : pinned.rows]).all()
+    assert len(gaps) > 50 and (min(gaps) >= 800) == focal
