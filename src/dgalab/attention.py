@@ -4,20 +4,19 @@ This is the correctness oracle for the grouped pipeline. Hidden positions
 get a logit of -inf, never a large finite sentinel, so their weight is
 exactly zero.
 
-One rule, `_visible`, decides what a query sees: column c is visible to
-row i iff since[c] <= i < until[c]; a key of exact attention is
-[its position, L). `_tile` lays queries' logits over several key blocks
-side by side, batched over leading axes, scaling the queries (not the
-wider logits) by 1/sqrt(d), hides only its trailing band by that rule
-when given the rows' positions, and exponentiates after a max shift.
-`_causal_tiles` is the one causal tile loop: it runs `_tile` on 128-row
-tiles of sorted query positions over K[:last row + 1], whose logits
-`_causal_logits` counts for it and for `decode.prefill`.
-`_run_shares` runs its tiles, and `dga`'s grouped attend's, costliest first
-off one queue that a thread per CPU pops, each thread with one scratch
-buffer. Only `causal_attention` writes its tiles elsewhere, into a zeroed
-weight matrix, so nothing above its diagonal is written; `dga`'s scorer is
-the other caller.
+One rule, `_visible`, decides what a query sees: column c is visible to row i
+iff since[c] <= i < until[c]; a key of exact attention is [its position, L).
+`_tile` lays queries' logits over several key blocks side by side in the
+buffer its caller passes, batched over leading axes, scaling the queries (not
+the wider logits) by 1/sqrt(d), hides only its trailing band by that rule when
+given the rows' positions, and exponentiates by `numerics.exp_rows`.
+`_causal_tiles` is the one causal tile loop: it runs `_tile` on 128-row tiles
+of sorted query positions over K[:last row + 1], whose logits `_causal_logits`
+counts for it and for `decode.prefill`. `_run_shares` runs its tiles, and
+`dga`'s grouped attend's, costliest first off one queue that a thread per CPU
+pops, each thread with one scratch buffer. Only `causal_attention` writes its
+tiles elsewhere, into a zeroed weight matrix, so nothing above its diagonal is
+written; `dga`'s scorer is the other caller.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .numerics import exp_rows
 
 _ROW_BLOCK = 128  # query rows per causal tile: memory O(B L)
 _SHARE_LOGITS = 1 << 17  # fewest logits per share: L = 512 exact, 1024 grouped ran slower split
@@ -77,16 +77,13 @@ def _visible(rows: np.ndarray, since, until) -> np.ndarray:
     return (since <= i) & (i < until)
 
 
-def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) -> tuple:
-    """(e, row sums), e = exp(logit - row max) of queries q (..., n, d) over
-    the key blocks (..., len, d) laid side by side on the last axis, written
-    into out if given; leading axes batch. q is scaled by 1/sqrt(d) before
-    the products, bit for bit the scaled logits when sqrt(d) is a power of
-    two. Given the sorted rows' positions, the trailing since.size columns
-    are hidden by _visible; every row sees the columns before them."""
+def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, *, out) -> tuple:
+    """(out, row sums): exp_rows of the logits of queries q (..., n, d) over key
+    blocks (..., len, d) laid side by side on out's last axis; leading axes batch.
+    q is scaled by 1/sqrt(d) before the products, bit for bit the scaled logits
+    when sqrt(d) is a power of two. Given the sorted rows' positions, _visible
+    hides the trailing since.size columns; every row sees the columns before them."""
     q = q * (1.0 / math.sqrt(q.shape[-1]))
-    if out is None:
-        out = np.empty(q.shape[:-1] + (sum(block.shape[-2] for block in blocks),))
     col = 0
     for block in blocks:
         width = block.shape[-2]
@@ -94,9 +91,7 @@ def _tile(q: np.ndarray, blocks, rows=None, since=None, until=None, out=None) ->
         col += width
     if rows is not None:
         np.copyto(out[..., col - since.size :], -np.inf, where=~_visible(rows, since, until))
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    return out, out.sum(axis=-1)
+    return out, exp_rows(out, out)
 
 
 def _run_shares(logits: np.ndarray, run_tile) -> None:

@@ -3,12 +3,13 @@
 The whole cache is one growable (2, capacity, d) buffer of key and value
 rows, [focal | aggregated blocks | pending tail], seeded by prefill from
 the grouped attention layout. Each decode step checks q, k and v once as
-one stacked array, writes the new token at the end of the tail and
-attends over the live rows -- everything cached is in the past, so no
-mask is needed -- with one logit product. Once the tail reaches m' =
-ceil(1.1 m) rows (in integers, m + (m + 9) // 10), the oldest m of them
-collapse in place into one new aggregated row, pooled by `dga._pool` with
-the softmax of the step's own logits over them, as prefill pools with its
+one stacked array, writes the new token at the end of the tail and attends
+over the live rows -- everything cached is in the past, so no mask is
+needed -- with one logit product, exponentiated by `numerics.exp_rows`.
+Once the tail reaches m' = ceil(1.1 m) rows (in integers,
+m + (m + 9) // 10), the oldest m of them collapse in place into one new
+aggregated row, pooled by `dga._pool` with `exp_rows` of the step's own
+logits over them, shifted by their own max, as prefill pools with its
 blocks' last queries; a regroup computes no logit. The ledger reports the
 cache and `dots`, the logits prefill and the steps computed; `decode-bench`
 writes them beside vanilla full attention's, and the per-step trace.
@@ -24,6 +25,7 @@ import numpy as np
 from .attention import AttentionBatch, _causal_logits
 from .dga import _attend, _pool, compute_partition
 from .errors import InvalidInputError
+from .numerics import exp_rows
 
 
 def regroup_threshold(m: int) -> int:
@@ -116,11 +118,10 @@ def decode_step(
     m, g = state.m, state.focal_rows + state.group_rows
     regroup = rows - g >= regroup_threshold(m)
     if regroup:  # shifted by the members' own max: exact far below the step's
-        w = e[None, g : g + m] - e[g : g + m].max()
-        np.exp(w, out=w)
-    e -= e.max()
-    np.exp(e, out=e)
-    out = e @ cache[1, :rows] / e.sum()
+        w = np.empty((1, m))
+        exp_rows(e[None, g : g + m], w)
+    total = exp_rows(e, e)
+    out = e @ cache[1, :rows] / total
     if regroup:
         # The aggregate replaces the first member; leftover tail rows move up.
         cache[:, g] = _pool(w, cache[:, g : g + m])

@@ -160,11 +160,11 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     Decoding extends this layout with its pending tail."""
     if partition.L != batch.length:
         raise InvalidInputError("partition length mismatch")
-    groups, r = partition.groups, partition.r
+    groups, r, m = partition.groups, partition.r, partition.m
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
     keys, values = batch.k[groups], batch.v[groups]
-    e, _ = _tile(batch.q[groups[:, -1], None], [keys])
+    e, _ = _tile(batch.q[groups[:, -1], None], [keys], out=np.empty((partition.k, 1, m)))
     rows[0, r:], rows[1, r:] = _pool(e, keys), _pool(e, values)
     return rows
 

@@ -1,5 +1,5 @@
-"""Dense numerical kernels: stable softmax, simplex projection, symmetric
-eigenvalues and positive-spectrum condition numbers.
+"""Dense kernels: `exp_rows`, the library's one max-shifted exponent, softmax,
+simplex projection, symmetric eigenvalues and positive-spectrum condition numbers.
 
 Matrices are plain float64 numpy arrays in row-major order; probability
 vectors are 1-D float64 arrays that sum to one.
@@ -38,13 +38,17 @@ def softmax(v) -> np.ndarray:
     return softmax_rows(_as_finite_vector(v))
 
 
-def softmax_into(mat: np.ndarray, out: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Max-shifted softmax of mat over its last axis, written into out, which may be
-    mat; only out[..., cols] is normalised, the rest keeps exp(mat - row max)."""
+def exp_rows(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(mat - its row max) over the last axis into out, which may be mat; returns row sums."""
     # initial=-inf gives the same max, and numpy reduces short rows about twice as fast
     np.subtract(mat, mat.max(axis=-1, keepdims=True, initial=-np.inf), out=out)
     np.exp(out, out=out)
-    out[..., cols] /= out.sum(axis=-1, keepdims=True)
+    return out.sum(axis=-1)
+
+
+def softmax_into(mat: np.ndarray, out: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """exp_rows of mat into out, which may be mat, then out[..., cols] divided by the row sums."""
+    out[..., cols] /= exp_rows(mat, out)[..., None]
     return out
 
 

@@ -1,10 +1,10 @@
 """Naive reference implementations used to cross-check the fast paths.
 
 Everything here favors explicit loops and first-principles enumeration
-over shared code with the production routines, so a bug must appear in
-both routes to go unnoticed. The `dga-check` CLI subcommand and the test
-suite both drive these. `jacobi_eigenvalues`, a pure-Python cyclic Jacobi
-solver, cross-checks the LAPACK one behind `numerics.sym_eigenvalues`.
+over code shared with the fast paths, sharing no kernel, not even softmax,
+so a bug must appear in both routes to go unnoticed. The `dga-check` CLI
+subcommand and the test suite both drive these. `jacobi_eigenvalues`, a
+pure-Python cyclic Jacobi solver, cross-checks `numerics.sym_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .attention import AttentionBatch
 from .dga import TokenPartition
 from .errors import ConvergenceError, InvalidInputError
-from .numerics import softmax
 
 
 def naive_causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +241,8 @@ class NaiveDecodeSession:
         rows_k, rows_v = [], []
         for ks, vs, q_form in self.block_members:
             logits = np.array([float(np.dot(q_form, kk)) * scale for kk in ks])
-            p = softmax(logits)
+            e = np.exp(logits - logits.max())
+            p = e / e.sum()
             rows_k.append(sum(p[t] * ks[t] for t in range(len(ks))))
             rows_v.append(sum(p[t] * vs[t] for t in range(len(vs))))
         return rows_k, rows_v
@@ -255,7 +255,8 @@ class NaiveDecodeSession:
         values = self.focal_v + agg_v + self.tail_v
         scale = 1.0 / np.sqrt(self.d)
         logits = np.array([float(np.dot(q, kk)) * scale for kk in keys])
-        w = softmax(logits)
+        e = np.exp(logits - logits.max())
+        w = e / e.sum()
         out = np.zeros(self.d)
         for wt, vv in zip(w, values):
             out += wt * vv

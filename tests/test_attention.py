@@ -128,8 +128,8 @@ def test_single_query_tile_is_row_zero_of_the_batched_tile(d, widths, reach, see
     rng = np.random.default_rng(seed)
     q, blocks = rng.normal(size=d), [rng.normal(size=(w, d)) for w in widths]
     q *= reach / np.abs(np.vstack(blocks) @ q / np.sqrt(d)).max()
-    e, total = _tile(q, blocks)
-    e_rows, sums = _tile(q[None], blocks)
+    e, total = _tile(q, blocks, out=np.empty(sum(widths)))
+    e_rows, sums = _tile(q[None], blocks, out=np.empty((1, sum(widths))))
     assert e.shape == (sum(widths),) and np.ndim(total) == 0
     np.testing.assert_array_equal(e, e_rows[0])
     assert total == sums[0]
@@ -142,7 +142,7 @@ def test_query_scaling_equals_logit_scaling_when_root_d_is_a_power_of_two(d):
     rng = np.random.default_rng(d)
     q, keys = rng.normal(size=(5, d)) * 30, rng.normal(size=(7, d))
     logits = (q @ keys.T) * (1.0 / np.sqrt(d))
-    e, sums = _tile(q, [keys])
+    e, sums = _tile(q, [keys], out=np.empty((5, 7)))
     want = np.exp(logits - logits.max(axis=-1, keepdims=True))
     np.testing.assert_array_equal(e, want)
     np.testing.assert_array_equal(sums, want.sum(axis=-1))

@@ -1,13 +1,15 @@
-"""Kernels: softmax, simplex projection, symmetric eigenvalues."""
+"""Kernels: the max-shifted exponent, softmax, simplex projection, symmetric eigenvalues."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgalab import oracles
 from dgalab.errors import ConvergenceError, InvalidInputError
 from dgalab.numerics import (
     condition_number,
+    exp_rows,
     project_to_simplex,
     softmax,
     softmax_rows,
@@ -71,6 +73,28 @@ class TestSoftmax:
         got = softmax_rows(mat)
         np.testing.assert_array_equal(mat, before)
         assert not np.shares_memory(got, mat)
+
+    def test_exp_rows_in_place_or_not_gives_the_shifted_exponent_and_sums(self):
+        """exp(x - row max) and its row sums, into a second array or over mat.
+        Rows whose max is +0 or -0 give the bits of either shift, as
+        x - 0 == x - (-0) for every x != 0 and exp(+-0) == 1."""
+        mat = np.array([[-0.0, -3.0, -1000.0], [0.0, -0.0, -2.5], [-0.0, 0.0, -0.0],
+                        [-700.0, 5.0, 1000.0]])
+        top = mat.max(axis=-1, keepdims=True)
+        for zero in (0.0, -0.0):
+            want = np.exp(mat - np.where(top == 0.0, zero, top))
+            out, inplace = np.empty_like(mat), mat.copy()
+            sums = exp_rows(mat, out)
+            assert (out == want).all() and (sums == want.sum(axis=-1)).all()
+            assert (exp_rows(inplace, inplace) == sums).all() and (inplace == want).all()
+
+
+def test_no_oracle_binds_a_numerics_kernel():
+    """oracles.py takes its softmax inline, so a bug in numerics' one kernel
+    cannot hide in a fast path and in the oracle that checks it alike."""
+    shared = [name for name, obj in vars(oracles).items()
+              if getattr(obj, "__module__", None) == "dgalab.numerics"]
+    assert shared == []
 
 
 def brute_force_simplex_projection(v, steps=2001):
