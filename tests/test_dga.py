@@ -1,11 +1,13 @@
 """Grouped attention pipeline: scoring, partitioning, aggregation, masks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from batches import random_batch
+from batches import random_batch, scaled_batch
 from dgalab import attention, dga
 from dgalab.attention import AttentionBatch, causal_attention
 from dgalab.decode import prefill
@@ -215,6 +217,24 @@ class TestPartitionTokens:
             partition_tokens([bad, 1, 2, 0.5, bad, 3], 0.34, 2)
 
 
+def pinned_grouped_kv(batch, part):
+    """build_grouped_kv's arithmetic, copied here so that a rewrite must keep
+    its bits: the focal rows, then each block's last query scaled, its logits
+    over the members, the row max subtracted, exp, and one product per block
+    divided by the weights' row sums."""
+    groups, r = part.groups, part.r
+    rows = np.empty((2, r + part.k, batch.width))
+    rows[0, :r], rows[1, :r] = batch.k[part.focal], batch.v[part.focal]
+    keys, values = batch.k[groups], batch.v[groups]
+    w = np.matmul(batch.q[groups[:, -1], None] * (1.0 / math.sqrt(batch.width)),
+                  keys.swapaxes(-1, -2))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    for j, members in enumerate((keys, values)):
+        rows[j, r:] = (w @ members)[..., 0, :] / w.sum(axis=-1)
+    return rows
+
+
 class TestGroupedKV:
     def test_tied_logits_give_uniform_group_weights(self):
         L, d, m = 8, 4, 4
@@ -265,6 +285,20 @@ class TestGroupedKV:
             # Constant values pool to themselves: each block's weights sum to one.
             ones = build_grouped_kv(AttentionBatch(q, base.k, np.ones((12, 4))), part)
             np.testing.assert_allclose(ones[1, part.r :], 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L, m, gamma", [
+        (1, 1, 0.5), (40, 1, 0.1), (40, 4, 1.0), (300, 1, 0.1), (300, 4, 0.1),
+        (300, 16, 0.3), (700, 16, 1.0), (700, 32, 0.05),
+    ])
+    @pytest.mark.parametrize("reach", [1.0, 1000.0])
+    def test_rows_keep_their_pinned_bits(self, L, m, gamma, reach):
+        """build_grouped_kv's rows equal pinned_grouped_kv's with ==, with
+        the largest |logit| at reach; k = 0 at gamma = 1, unit blocks at m = 1."""
+        batch = scaled_batch(L + m, L, 8, reach)
+        part = partition_tokens(np.random.default_rng(L).normal(size=L), gamma, m)
+        want = pinned_grouped_kv(batch, part)
+        got = build_grouped_kv(batch, part)
+        assert got.shape == want.shape and (got == want).all()
 
     def test_until_spans(self):
         """A grouped token's until is its block's last member; a focal

@@ -3,6 +3,7 @@ the split, the runner's one queue, costliest tile first, and each thread's
 scratch, bit-identical outputs at every worker count, concurrent callers and
 a failing tile or visit on the calling thread or on a worker."""
 
+import math
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from batches import planted_batch, random_batch
+from batches import planted_batch, random_batch, scaled_batch
 from dgalab import attention, dga
 from dgalab.attention import _causal_tiles, _run_shares, causal_attention
 from dgalab.decode import prefill
@@ -229,6 +230,41 @@ def test_causal_tiles_visit_each_tile_once_and_return_in_tile_order(monkeypatch,
 
         assert _causal_tiles(batch, positions, visit) == starts, workers
         assert sorted(visits) == starts, workers
+
+
+def pinned_causal_attention(batch):
+    """causal_attention's arithmetic, copied here so that a rewrite must keep
+    its bits: 128-row tiles of a zeroed weight matrix, scaled queries, the band
+    above the diagonal at -inf, the row max subtracted, exp, rows divided by
+    their sums, then times V[:end]."""
+    L, d = batch.q.shape
+    out, weights = np.empty_like(batch.q), np.zeros((L, L))
+    for start in range(0, L, 128):
+        end = min(start + 128, L)
+        e = weights[start:end, :end]
+        np.matmul(batch.q[start:end] * (1.0 / math.sqrt(d)), batch.k[:end].T, out=e)
+        band = np.arange(start + 1, end) > np.arange(start, end)[:, None]
+        np.copyto(e[:, start + 1 :], -np.inf, where=band)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1)[:, None]
+        out[start:end] = e @ batch.v[:end]
+    return out, weights
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("reach", [1.0, 1000.0])
+@pytest.mark.parametrize("L", [1, 127, 128, 129, 300, 700])
+def test_causal_attention_keeps_its_pinned_bits(monkeypatch, L, reach, workers):
+    """out and weights equal pinned_causal_attention's with ==, with the
+    largest |logit| at reach, on one thread and split over three."""
+    _set_workers(monkeypatch, workers)
+    batch = scaled_batch(L + int(reach), L, 8, reach)
+    want_out, want_weights = pinned_causal_attention(batch)
+    out, weights = causal_attention(batch)
+    assert out.shape == want_out.shape and (out == want_out).all()
+    assert weights.shape == want_weights.shape and (weights == want_weights).all()
+    assert (weights[np.triu_indices(L, k=1)] == 0.0).all()
 
 
 def _outputs(L):
