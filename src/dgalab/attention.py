@@ -14,9 +14,9 @@ given the rows' positions, and exponentiates by `numerics.exp_rows`.
 of sorted query positions over K[:last row + 1], whose logits `_causal_logits`
 counts for it and for `decode.prefill`. `_run_shares` runs its tiles, and
 `dga`'s grouped attend's, costliest first off one queue that a thread per CPU
-pops, each thread with one scratch buffer. Only `causal_attention` writes its
-tiles elsewhere, into a zeroed weight matrix, so nothing above its diagonal is
-written; `dga`'s scorer is the other caller.
+pops, each thread with one scratch buffer, in which every tile is computed.
+`causal_attention` divides its tiles into a zeroed weight matrix, resident in
+full as numpy backs it with huge pages; `dga`'s scorer sums them instead.
 """
 
 from __future__ import annotations
@@ -133,19 +133,18 @@ def _causal_logits(positions: np.ndarray) -> np.ndarray:
     return np.diff(stops, prepend=0) * (positions[stops - 1] + 1)
 
 
-def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit, weights=None) -> list:
+def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit) -> list:
     """[visit(rows, e, sums)] in tile order over the _causal_logits tiles, band
-    hidden by _tile, e in weights[rows, :end] if given (positions then run 0, 1,
-    ...), else in the buf _run_shares hands the tile."""
+    hidden by _tile, e in the buf _run_shares hands the tile."""
     logits = _causal_logits(positions)
     parts = [None] * logits.size
 
     def run_tile(t, buf):
         rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
         n, end = rows.size, rows[-1] + 1
-        out = buf.reshape(n, end) if weights is None else weights[rows[0] : end, :end]
         q = batch.q[rows[0] : end] if end - rows[0] == n else batch.q[rows]
-        e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end, out=out)
+        e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
+                        out=buf.reshape(n, end))
         parts[t] = visit(rows, e, sums)
 
     _run_shares(logits, run_tile)
@@ -157,14 +156,15 @@ def causal_attention(batch: AttentionBatch) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (out, weights): out[i] = sum_{j<=i} weights[i, j] * V[j] with
     weights[i, :i+1] the softmax of Q_i . K_j / sqrt(d) over past positions
-    and exact zeros elsewhere. The _causal_tiles are written into weights,
-    which starts as zeros, and normalized in place.
+    and exact zeros elsewhere. Each causal tile is divided by its row sums from
+    its thread's scratch into its rows of weights, which starts as zeros.
     """
     out, weights = np.empty_like(batch.q), np.zeros((batch.length, batch.length))
 
     def visit(rows, e, sums):
-        e /= sums[:, None]
-        out[rows[0] : rows[-1] + 1] = e @ batch.v[: rows[-1] + 1]
+        start, end = rows[0], rows[-1] + 1
+        w = np.divide(e, sums[:, None], out=weights[start:end, :end])
+        out[start:end] = w @ batch.v[:end]
 
-    _causal_tiles(batch, np.arange(batch.length), visit, weights)
+    _causal_tiles(batch, np.arange(batch.length), visit)
     return out, weights

@@ -119,12 +119,12 @@ def decode_step(
     regroup = rows - g >= regroup_threshold(m)
     if regroup:  # shifted by the members' own max: exact far below the step's
         w = np.empty((1, m))
-        exp_rows(e[None, g : g + m], w)
+        w_sums = exp_rows(e[None, g : g + m], w)
     total = exp_rows(e, e)
     out = e @ cache[1, :rows] / total
     if regroup:
         # The aggregate replaces the first member; leftover tail rows move up.
-        cache[:, g] = _pool(w, cache[:, g : g + m])
+        cache[:, g] = _pool(w, w_sums, cache[:, g : g + m])
         cache[:, g + 1 : rows - m + 1] = cache[:, g + m : rows]
         state.group_rows += 1
         rows -= m - 1

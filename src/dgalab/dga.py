@@ -42,9 +42,10 @@ class SampleSpec:
     random_count: int = 16
 
     def __post_init__(self):
-        if self.recent_count < 0 or self.random_count < 0:
-            raise InvalidInputError("sample counts must be nonnegative")
-        if self.recent_count + self.random_count < 1:
+        counts = (self.recent_count, self.random_count)
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in counts):
+            raise InvalidInputError(f"sample counts must be nonnegative integers, not {counts}")
+        if sum(counts) < 1:
             raise InvalidInputError("at least one sampled row is required")
 
     def positions(self, L: int, rng: RngStream | None) -> np.ndarray:
@@ -150,8 +151,8 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
 def _check_budget(m: int, gamma: float) -> None:
     if not (0.0 < gamma <= 1.0):
         raise InvalidInputError("gamma must lie in (0, 1]")
-    if m < 1:
-        raise InvalidInputError("m must be at least 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidInputError(f"m must be at least 1 and an integer, not {m!r}")
 
 
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
@@ -164,16 +165,16 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
     rows = np.empty((2, r + partition.k, batch.width))
     rows[0, :r], rows[1, :r] = batch.k[partition.focal], batch.v[partition.focal]
     keys, values = batch.k[groups], batch.v[groups]
-    e, _ = _tile(batch.q[groups[:, -1], None], [keys], out=np.empty((partition.k, 1, m)))
-    rows[0, r:], rows[1, r:] = _pool(e, keys), _pool(e, values)
+    e, sums = _tile(batch.q[groups[:, -1], None], [keys], out=np.empty((partition.k, 1, m)))
+    rows[0, r:], rows[1, r:] = _pool(e, sums, keys), _pool(e, sums, values)
     return rows
 
 
-def _pool(w: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Rows (..., d) of blocks of members (..., m, d), pooled in one product
-    by their unnormalised weights w (..., 1, m): the only place an aggregate
-    forms. Decode pools stacked keys and values (2, m, d) in one call."""
-    return (w @ members)[..., 0, :] / w.sum(axis=-1)
+def _pool(w: np.ndarray, sums: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Rows (..., d) of blocks of members (..., m, d), pooled in one product by
+    unnormalised weights w (..., 1, m) over the sums (..., 1) exp_rows gave the
+    caller: the only place an aggregate forms. Decode pools (2, m, d) at once."""
+    return (w @ members)[..., 0, :] / sums
 
 
 def build_group_mask(partition: TokenPartition) -> np.ndarray:

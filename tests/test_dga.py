@@ -137,6 +137,35 @@ class TestApproxImportanceScores:
         with pytest.raises(InvalidInputError, match="spec samples 8 rows but the sequence has only 6"):
             approx_importance_scores(batch, SampleSpec(4, 4), RngStream(0))
 
+    @pytest.mark.parametrize("counts", [
+        (2.5, 0), (0, 2.5), (np.float64(4), 4), (4, np.float64(4)), (-1, 4), (4, -1), (0, 0),
+    ])
+    def test_bad_sample_counts_rejected_before_any_scoring(self, monkeypatch, counts):
+        """A count that is negative or not an integer, or no row at all, raises
+        InvalidInputError before the scorer computes a tile."""
+        def spy(*args, **kwargs):
+            raise AssertionError("the scorer ran")
+
+        monkeypatch.setattr(attention, "_tile", spy)
+        batch = random_batch(np.random.default_rng(27), 300, 4)
+        runs = [lambda: approx_importance_scores(batch, SampleSpec(*counts), RngStream(0)),
+                lambda: compute_partition(batch, 4, 0.1, SampleSpec(*counts), RngStream(0)),
+                lambda: dga_attention(batch, 4, 0.1, SampleSpec(*counts), RngStream(0))]
+        for run in runs:
+            with pytest.raises(InvalidInputError, match="sample counts|one sampled row"):
+                run()
+
+    def test_numpy_integer_counts_and_m_are_valid(self):
+        batch = random_batch(np.random.default_rng(28), 300, 4)
+        spec, np_spec = SampleSpec(8, 8), SampleSpec(np.int64(8), np.int32(8))
+        want = approx_importance_scores(batch, spec, RngStream(0))
+        np.testing.assert_array_equal(approx_importance_scores(batch, np_spec, RngStream(0)), want)
+        for m in (np.int64(4), np.int32(4)):
+            got = compute_partition(batch, m, 0.1, np_spec, RngStream(1))
+            part = compute_partition(batch, 4, 0.1, spec, RngStream(1))
+            np.testing.assert_array_equal(got.focal, part.focal)
+            np.testing.assert_array_equal(got.groups, part.groups)
+
     def test_random_rows_require_stream(self):
         rng = np.random.default_rng(7)
         batch = random_batch(rng, 8, 2)
@@ -414,6 +443,8 @@ class TestDgaAttention:
     @pytest.mark.parametrize("m, gamma, message", [
         (0, 0.1, "m must be at least 1"), (-3, 1.0, "m must be at least 1"),
         (4, 0.0, "gamma must lie"), (4, -0.2, "gamma must lie"), (4, 1.5, "gamma must lie"),
+        (2.5, 0.1, "m must be at least 1 and an integer, not 2.5"),
+        (np.float64(4), 0.1, "m must be at least 1 and an integer"),
     ])
     def test_bad_m_or_gamma_rejected_before_any_scoring(self, monkeypatch, m, gamma, message):
         """compute_partition, dga_attention and prefill raise before any tile runs."""

@@ -96,8 +96,9 @@ def test_a_held_tile_leaves_the_rest_of_the_queue_to_the_other_thread(monkeypatc
 
 
 def test_tile_loops_compute_their_logits_in_the_runner_buffers(monkeypatch):
-    """The causal loop (exact and sampled rows) and the grouped attend write
-    every tile's logits into the scratch _run_shares handed that tile."""
+    """The causal loop (exact attention, exact and sampled scores) and the
+    grouped attend write every tile's logits into the scratch _run_shares
+    handed that tile."""
     _set_workers(monkeypatch, 2)
     real_run, real_tile, bufs, tiles = attention._run_shares, attention._tile, [], []
 
@@ -120,10 +121,11 @@ def test_tile_loops_compute_their_logits_in_the_runner_buffers(monkeypatch):
     for module in (attention, dga):
         monkeypatch.setattr(module, "_run_shares", run_spy)
         monkeypatch.setattr(module, "_tile", tile_spy)
+    causal_attention(batch)
     importance_scores_exact(batch)
     approx_importance_scores(batch, SampleSpec(40, 200), RngStream(3))
     dga_attention_with_partition(batch, part)
-    assert len(tiles) == len(bufs) == 3 + 2 + 5  # 128-row, 128-row and 64-row tiles
+    assert len(tiles) == len(bufs) == 3 + 3 + 2 + 5  # 128-row tiles, then 64-row
     assert all(any(np.shares_memory(e, buf) for buf in bufs) for e in tiles)
 
 
