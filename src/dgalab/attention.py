@@ -15,8 +15,8 @@ of sorted query positions over K[:last row + 1], whose logits `_causal_logits`
 counts for it and for `decode.prefill`. `_run_shares` runs its tiles, and
 `dga`'s grouped attend's, costliest first off one queue that a thread per CPU
 pops, each thread with one scratch buffer, in which every tile is computed.
-`causal_attention` divides its tiles into a zeroed weight matrix, resident in
-full as numpy backs it with huge pages; `dga`'s scorer sums them instead.
+`causal_attention` divides its tiles into a zeroed weight matrix (resident in
+full where numpy gets it huge pages); `dga`'s scorer sums them instead.
 """
 
 from __future__ import annotations
