@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, StepTooLargeError
+from .errors import InvalidInputError, StepTooLargeError, check_count
 from .numerics import (
     check_prob_vector,
     condition_number,
@@ -60,8 +60,8 @@ class GroupStructure:
     m: int
 
     def __post_init__(self):
-        if self.m < 1 or self.L < 1:
-            raise InvalidInputError("L and m must be positive")
+        object.__setattr__(self, "L", check_count(self.L, "L", 1))
+        object.__setattr__(self, "m", check_count(self.m, "m", 1))
         if self.L % self.m:
             raise InvalidInputError(f"group size {self.m} does not divide L={self.L}")
 
@@ -137,8 +137,7 @@ def solve_coding(
     the objective non-increasing. Raises StepTooLargeError when the
     objective grows by ten orders of magnitude.
     """
-    if iters < 1:
-        raise InvalidInputError("iters must be at least 1")
+    iters = check_count(iters, "iters", 1)
     basis = _basis(inst, groups)
     if step is None:
         lam_max = float(sym_eigenvalues(2.0 * (basis @ basis.T))[0])
@@ -198,11 +197,6 @@ def first_order_delta_check(
     return big / small
 
 
-def _check_trials(trials: int, least: int) -> None:
-    if trials < least:
-        raise InvalidInputError(f"trials must be at least {least}; got {trials!r}")
-
-
 def _noisy_softmax(gen, logits: np.ndarray, sigma: float, trials: int, cols=slice(None)):
     """Rows softmax(logits + sigma z), z ~ N(0, 1) (trials, L), in z's one array."""
     x = gen.standard_normal((trials, logits.size))
@@ -228,11 +222,12 @@ def perturbation_variance(
     sigma^2.
     """
     alpha = check_prob_vector(alpha)
-    if not 0 <= j < alpha.size:
+    j = check_count(j, "j", 0)
+    if j >= alpha.size:
         raise InvalidInputError("index j out of range")
     if not np.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
-    _check_trials(trials, 2)
+    trials = check_count(trials, "trials", 2)
     predicted = float(
         alpha[j] ** 2 * (1.0 + np.sum(alpha**2) - 2.0 * alpha[j]) * sigma**2
     )
@@ -245,16 +240,18 @@ def perturbation_variance(
 
 
 def _plain_noise(alpha_tilde, m: int, sigma: float, trials: int, rng: RngStream):
-    """Shared start of the two variance ratios: check m and sigma, draw one
-    N(0, sigma^2) per logit, and return the blocks of m, the generator after
-    that draw, the noisy softmax rows (in the draw's array) and the clean softmax."""
+    """Shared start of the two variance ratios: check m, sigma, trials and the
+    logits (by their clean softmax), draw one N(0, sigma^2) per logit, and return
+    the blocks of m, the generator after that draw, the noisy softmax rows (in
+    the draw's array) and the clean softmax."""
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
     groups = GroupStructure(alpha_tilde.size, m)
     if not 0 < sigma < np.inf:
         raise InvalidInputError("sigma must be positive and finite")
-    _check_trials(trials, 2)
+    trials = check_count(trials, "trials", 2)
+    clean = softmax(alpha_tilde)
     gen = rng.generator()
-    return groups, gen, _noisy_softmax(gen, alpha_tilde, sigma, trials), softmax(alpha_tilde)
+    return groups, gen, _noisy_softmax(gen, alpha_tilde, sigma, trials), clean
 
 
 def grouped_variance_ratio(
@@ -312,7 +309,7 @@ def kl_under_noise(
     """
     if groups.L != inst.length:
         raise InvalidInputError("group structure length mismatch")
-    _check_trials(trials, 1)
+    trials = check_count(trials, "trials", 1)
     sigmas = [float(sigma) for sigma in sigma_list]
     if not np.all(np.isfinite(sigmas)):
         raise InvalidInputError("sigma must be finite")

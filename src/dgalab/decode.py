@@ -84,7 +84,7 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     # Exact scoring (none at gamma = 1) computes whole causal tiles.
     scored = int(_causal_logits(np.arange(batch.length)).sum()) if gamma < 1.0 else 0
     r, k = partition.r, partition.k
-    state = DecoderState(m, kv, focal_rows=r, group_rows=k, rows=r + k,
+    state = DecoderState(partition.m, kv, focal_rows=r, group_rows=k, rows=r + k,
                          prefill_tokens=batch.length, dots=attended + scored)
     return outputs, state
 

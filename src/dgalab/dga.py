@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBatch, _causal_tiles, _run_shares, _tile, _visible
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .rng import RngStream
 
 _TILE_ROWS = 64  # query rows per grouped-attend tile
@@ -42,10 +42,9 @@ class SampleSpec:
     random_count: int = 16
 
     def __post_init__(self):
-        counts = (self.recent_count, self.random_count)
-        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in counts):
-            raise InvalidInputError(f"sample counts must be nonnegative integers, not {counts}")
-        if sum(counts) < 1:
+        for field in ("recent_count", "random_count"):
+            object.__setattr__(self, field, check_count(getattr(self, field), "sample counts", 0))
+        if self.recent_count + self.random_count < 1:
             raise InvalidInputError("at least one sampled row is required")
 
     def positions(self, L: int, rng: RngStream | None) -> np.ndarray:
@@ -135,7 +134,7 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
         raise InvalidInputError("scores must be a nonempty vector")
     if not np.isfinite(scores).all():
         raise InvalidInputError("scores must be finite")
-    _check_budget(m, gamma)
+    m = _check_budget(m, gamma)
     L = scores.size
     # Tolerate float fuzz like 0.07 * 100 = 7.000000000000001 before ceil.
     r0 = max(1, int(np.ceil(gamma * L - 1e-9)))
@@ -148,11 +147,10 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     return TokenPartition(L, m, float(gamma), focal, groups, until)
 
 
-def _check_budget(m: int, gamma: float) -> None:
+def _check_budget(m: int, gamma: float) -> int:
     if not (0.0 < gamma <= 1.0):
         raise InvalidInputError("gamma must lie in (0, 1]")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidInputError(f"m must be at least 1 and an integer, not {m!r}")
+    return check_count(m, "m", 1)
 
 
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:

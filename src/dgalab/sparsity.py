@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .numerics import softmax_rows
 from .rng import RngStream
 
@@ -78,8 +78,7 @@ def attention_source(d: int = 16) -> LogitSource:
     (n, L) array from the same generator, returning z * |q| / sqrt(d) from
     n*(L + d) normals, not n*L*d. Bound values for this source are reported only.
     """
-    if d < 1:
-        raise InvalidInputError(f"d must be at least 1; got {d!r}")
+    d = check_count(d, "d", 1)
 
     def draw(rng, n, L):
         gen = rng.generator()
@@ -102,13 +101,7 @@ def named_source(name: str, d: int = 16) -> LogitSource:
     return table[name]()
 
 
-def _check_length(L: int) -> None:
-    if L < 1:
-        raise InvalidInputError(f"L must be at least 1; got {L!r}")
-
-
 def _check_rho(rho: float, L: int) -> float:
-    _check_length(L)
     rho = float(rho)
     if not (1.0 / L < rho <= 1.0):
         raise InvalidInputError(
@@ -130,9 +123,7 @@ def empirical_p_sparse(weight_rows, rho: float) -> float:
 
 def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> np.ndarray:
     """n softmaxed logit rows of length L from the source."""
-    _check_length(L)
-    if n < 0:
-        raise InvalidInputError(f"n must be nonnegative; got {n!r}")
+    L, n = check_count(L, "L", 1), check_count(n, "n", 0)
     return softmax_rows(source.draw(rng, n, L))
 
 
@@ -158,9 +149,9 @@ def p_sparse_lower_bound_detail(
     are used. The source's exchangeability lets coordinate 0 stand for
     every coordinate.
     """
+    L = check_count(L, "L", 1)
     rho = _check_rho(rho, L)
-    if trials < 10_000:
-        raise InvalidInputError("trials must be at least 10^4")
+    trials = check_count(trials, "trials", 10_000)
     if x_grid is not None:
         x_grid = np.asarray(x_grid, dtype=np.float64)
         if x_grid.size == 0:
@@ -210,11 +201,10 @@ def sparsity_profile(
     skipped. A repeated L is computed once, from the stream of its last
     occurrence in L_list.
     """
-    _check_length(min(L_list, default=1))
-    if trials < 1:
-        raise InvalidInputError(f"trials must be at least 1; got {trials!r}")
+    lengths = [check_count(L, "L", 1) for L in L_list]
+    trials = check_count(trials, "trials", 1)
     cells = {}
-    for L, li in {int(L): li for li, L in enumerate(L_list)}.items():
+    for L, li in {L: li for li, L in enumerate(lengths)}.items():
         cell_rng = rng.child(1000 + li)
         rows = sample_weight_rows(source, L, trials, cell_rng.child(0))
         for ri, rho in enumerate(rho_list):

@@ -256,6 +256,16 @@ class TestGroupedVarianceRatio:
         with pytest.raises(InvalidInputError, match="trials must be at least 2"):
             ratio(np.zeros(8), 2, 1e-3, trials, NoDrawStream())
 
+    @pytest.mark.parametrize("ratio", [grouped_variance_ratio, ambient_variance_ratio])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected_before_any_draw(self, ratio, bad):
+        """A NaN logit used to be drawn and softmaxed over all trials first,
+        with a RuntimeWarning from the subtraction, before the clean softmax raised."""
+        alpha_tilde = np.zeros(8)
+        alpha_tilde[3] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ratio(alpha_tilde, 2, 1e-3, 10, NoDrawStream())
+
 
 class TestKlUnderNoise:
     def test_zero_noise(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from batches import random_batch, scaled_batch
 from dgalab import attention, dga
 from dgalab.attention import AttentionBatch, causal_attention
+from dgalab.coding import GroupStructure
 from dgalab.decode import prefill
 from dgalab.dga import (
     SampleSpec,
@@ -156,15 +157,20 @@ class TestApproxImportanceScores:
                 run()
 
     def test_numpy_integer_counts_and_m_are_valid(self):
+        """np.uint8(4) used to overflow in partition_tokens' promotion
+        arithmetic (Python int 296 % np.uint8(4) stays uint8)."""
         batch = random_batch(np.random.default_rng(28), 300, 4)
         spec, np_spec = SampleSpec(8, 8), SampleSpec(np.int64(8), np.int32(8))
         want = approx_importance_scores(batch, spec, RngStream(0))
         np.testing.assert_array_equal(approx_importance_scores(batch, np_spec, RngStream(0)), want)
-        for m in (np.int64(4), np.int32(4)):
+        for m in (np.int64(4), np.int32(4), np.uint8(4)):
             got = compute_partition(batch, m, 0.1, np_spec, RngStream(1))
             part = compute_partition(batch, 4, 0.1, spec, RngStream(1))
+            assert type(got.m) is int
             np.testing.assert_array_equal(got.focal, part.focal)
             np.testing.assert_array_equal(got.groups, part.groups)
+        groups = GroupStructure(np.int32(16), np.uint8(4))
+        assert groups == GroupStructure(16, 4) and type(groups.L) is type(groups.m) is int
 
     def test_random_rows_require_stream(self):
         rng = np.random.default_rng(7)

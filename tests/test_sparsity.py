@@ -250,7 +250,7 @@ def test_length_below_one_rejected_before_any_draw(run, L):
     "run, message",
     [
         (lambda source: sample_weight_rows(source, 8, -1, RngStream(44)),
-         "n must be nonnegative"),
+         "n must be at least 0"),
         (lambda source: sparsity_profile(source, [16], [0.5], 0, RngStream(44)),
          "trials must be at least 1"),
         (lambda source: sparsity_profile(source, [16], [0.5], -2, RngStream(44)),
