@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite
 from .numerics import exp_rows
 
 _ROW_BLOCK = 128  # query rows per causal tile: memory O(B L)
@@ -45,18 +45,13 @@ class AttentionBatch:
     v: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        k = np.asarray(self.k, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
+        q, k, v = check_finite(self.q, "Q"), check_finite(self.k, "K"), check_finite(self.v, "V")
         if q.ndim != 2 or q.shape[1] == 0:
             raise InvalidInputError("Q must be 2-D with width d >= 1")
         if q.shape[0] == 0:
             raise InvalidInputError("sequence length is zero")
         if k.shape != q.shape or v.shape != q.shape:
             raise InvalidInputError("Q, K, V must share one (L, d) shape")
-        for name, mat in (("Q", q), ("K", k), ("V", v)):
-            if not np.all(np.isfinite(mat)):
-                raise InvalidInputError(f"{name} contains non-finite entries")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, StepTooLargeError, check_count
+from .errors import InvalidInputError, StepTooLargeError, check_count, check_finite
 from .numerics import (
     check_prob_vector,
     condition_number,
@@ -36,14 +36,11 @@ class CodingInstance:
     y: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        v, y = check_finite(self.v, "V"), check_finite(self.y, "y")
         if v.ndim != 2 or v.size == 0:
             raise InvalidInputError("V must be a nonempty L x d matrix")
         if y.shape != (v.shape[1],):
             raise InvalidInputError("y length must match V's width")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(y))):
-            raise InvalidInputError("instance contains non-finite entries")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "y", y)
 
@@ -142,7 +139,7 @@ def solve_coding(
     if step is None:
         lam_max = float(sym_eigenvalues(2.0 * (basis @ basis.T))[0])
         step = 0.5 / lam_max if lam_max > 0 else 1.0
-    elif step <= 0:
+    elif check_finite(step, "step") <= 0:
         raise InvalidInputError("step must be positive")
 
     n = basis.shape[0]
@@ -186,9 +183,9 @@ def first_order_delta_check(
     scales delta and delta/2, and returns their ratio; a second-order
     remainder gives a ratio near 4.
     """
-    if delta_scale < 0:
+    if check_finite(delta_scale, "delta_scale") < 0:
         raise InvalidInputError("delta_scale must be nonnegative")
-    alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
+    alpha_tilde = check_finite(alpha_tilde, "alpha_tilde")
     direction = rng.normal(alpha_tilde.size)
     big = softmax_perturbation_residual(alpha_tilde, delta_scale * direction)
     small = softmax_perturbation_residual(alpha_tilde, 0.5 * delta_scale * direction)
@@ -225,8 +222,7 @@ def perturbation_variance(
     j = check_count(j, "j", 0)
     if j >= alpha.size:
         raise InvalidInputError("index j out of range")
-    if not np.isfinite(sigma):
-        raise InvalidInputError("sigma must be finite")
+    check_finite(sigma, "sigma")
     trials = check_count(trials, "trials", 2)
     predicted = float(
         alpha[j] ** 2 * (1.0 + np.sum(alpha**2) - 2.0 * alpha[j]) * sigma**2
@@ -310,9 +306,7 @@ def kl_under_noise(
     if groups.L != inst.length:
         raise InvalidInputError("group structure length mismatch")
     trials = check_count(trials, "trials", 1)
-    sigmas = [float(sigma) for sigma in sigma_list]
-    if not np.all(np.isfinite(sigmas)):
-        raise InvalidInputError("sigma must be finite")
+    sigmas = check_finite(sigma_list, "sigma").tolist()
     logits = inst.v @ inst.y
     block_logits = build_grouping_matrix(groups.L, groups.m) @ logits
     clean = softmax(logits)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attention import AttentionBatch, _causal_logits
 from .dga import _attend, _pool, compute_partition
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite
 from .numerics import exp_rows
 
 
@@ -103,8 +103,7 @@ def decode_step(
     qkv = np.concatenate((q_new, k_new, v_new), axis=None, dtype=np.float64)
     if qkv.size != 3 * d or np.size(q_new) != d or np.size(k_new) != d:
         raise InvalidInputError(f"q/k/v must have width {d}")
-    if not np.isfinite(qkv).all():
-        raise InvalidInputError("q/k/v contain non-finite entries")
+    check_finite(qkv, "q/k/v")
     q, rows = qkv[:d], state.rows
     if rows == state.cache.shape[1]:
         state.cache = np.concatenate([state.cache, np.empty((2, rows, d))], axis=1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBatch, _causal_tiles, _run_shares, _tile, _visible
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_finite
 from .rng import RngStream
 
 _TILE_ROWS = 64  # query rows per grouped-attend tile
@@ -127,13 +127,11 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     The top max(1, ceil(gamma * L)) scorers are focal; if the remainder is
     not divisible by m, the next-highest scorers are promoted until it is.
     Ties break by ascending index. Remaining tokens are chunked, in
-    original order, into consecutive blocks of m. Scores must be finite.
+    original order, into consecutive blocks of m.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = check_finite(scores, "scores")
     if scores.ndim != 1 or scores.size == 0:
         raise InvalidInputError("scores must be a nonempty vector")
-    if not np.isfinite(scores).all():
-        raise InvalidInputError("scores must be finite")
     m = _check_budget(m, gamma)
     L = scores.size
     # Tolerate float fuzz like 0.07 * 100 = 7.000000000000001 before ceil.

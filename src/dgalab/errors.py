@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and `check_count`, the one
-check every integer count argument of the library goes through."""
+"""Exception types shared across the package, and its two argument rules:
+`check_count` for every integer count and `check_finite` for every float argument."""
 
 import numpy as np
 
@@ -21,3 +21,11 @@ def check_count(value, name: str, least: int) -> int:
     if not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidInputError(f"{name} must be at least {least} and an integer, not {value!r}")
     return int(value)
+
+
+def check_finite(value, name: str) -> np.ndarray:
+    """value as a float64 array; InvalidInputError if any entry is NaN or infinite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return arr

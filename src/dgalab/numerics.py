@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite
 
 PROB_ATOL = 1e-12
 
 
 def _as_finite_vector(v, name: str = "input") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
+    arr = check_finite(v, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -77,11 +75,9 @@ def sym_eigenvalues(a) -> np.ndarray:
     1e-10 * max|a|) input, then runs LAPACK's symmetric solver on the
     symmetrized matrix.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = check_finite(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidInputError("matrix must be square and nonempty")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix contains non-finite entries")
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
         raise InvalidInputError("matrix is not symmetric within tolerance")
@@ -94,7 +90,7 @@ def condition_number(eigs) -> float:
     Eigenvalues at or below the relative cutoff are treated as zero modes
     and excluded; a single surviving eigenvalue yields 1.
     """
-    arr = np.asarray(eigs, dtype=np.float64)
+    arr = check_finite(eigs, "eigenvalues")
     if arr.size == 0:
         raise InvalidInputError("empty spectrum")
     if np.any(np.diff(arr) > 0):

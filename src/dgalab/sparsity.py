@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_finite
 from .numerics import softmax_rows
 from .rng import RngStream
 
@@ -113,7 +113,7 @@ def _check_rho(rho: float, L: int) -> float:
 def empirical_p_sparse(weight_rows, rho: float) -> float:
     """Fraction of weight rows that are rho-sparse, i.e. whose largest
     weight strictly exceeds 1/(L*rho); a single row gives 0.0 or 1.0."""
-    rows = np.atleast_2d(np.asarray(weight_rows, dtype=np.float64))
+    rows = np.atleast_2d(check_finite(weight_rows, "weight_rows"))
     if rows.size == 0:
         raise InvalidInputError("no weight rows given")
     L = rows.shape[1]
@@ -153,11 +153,11 @@ def p_sparse_lower_bound_detail(
     rho = _check_rho(rho, L)
     trials = check_count(trials, "trials", 10_000)
     if x_grid is not None:
-        x_grid = np.asarray(x_grid, dtype=np.float64)
+        x_grid = check_finite(x_grid, "x_grid")
         if x_grid.size == 0:
             raise InvalidInputError("x_grid must be nonempty")
-        if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
-            raise InvalidInputError("x_grid values must be positive and finite")
+        if np.any(x_grid <= 0):
+            raise InvalidInputError("x_grid values must be positive")
 
     log_thresh = np.log(L * rho - 1.0)
     block = max(1, _CHUNK_ENTRIES // L)
@@ -203,16 +203,17 @@ def sparsity_profile(
     """
     lengths = [check_count(L, "L", 1) for L in L_list]
     trials = check_count(trials, "trials", 1)
+    rhos = check_finite(rho_list, "rho").tolist()
     cells = {}
     for L, li in {L: li for li, L in enumerate(lengths)}.items():
         cell_rng = rng.child(1000 + li)
         rows = sample_weight_rows(source, L, trials, cell_rng.child(0))
-        for ri, rho in enumerate(rho_list):
+        for ri, rho in enumerate(rhos):
             if not (1.0 / L < rho <= 1.0):
                 continue
             emp = empirical_p_sparse(rows, rho)
             detail = p_sparse_lower_bound_detail(
                 source, L, rho, None, max(trials, 10_000), cell_rng.child(1 + ri)
             )
-            cells[(L, float(rho))] = (emp, detail.bound)
+            cells[(L, rho)] = (emp, detail.bound)
     return cells

@@ -355,6 +355,14 @@ class TestSubcommands:
         assert not out.exists()
         assert "sigma must be finite" in capsys.readouterr().err
 
+    def test_sparsity_rejects_a_non_finite_rho(self, tmp_path, capsys):
+        """A NaN rho used to be skipped like an out-of-domain one: exit 0, one cell."""
+        out = tmp_path / "out"
+        assert run(["sparsity", "--L", "16", "--rho", "nan,0.5", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "rho must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["coding", "--m", "0", "--instances", "0"], "--m"),
         (["noise", "--d", "0", "--m", "0"], "--m"),

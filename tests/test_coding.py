@@ -263,7 +263,7 @@ class TestGroupedVarianceRatio:
         with a RuntimeWarning from the subtraction, before the clean softmax raised."""
         alpha_tilde = np.zeros(8)
         alpha_tilde[3] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
+        with pytest.raises(InvalidInputError, match="must be finite"):
             ratio(alpha_tilde, 2, 1e-3, 10, NoDrawStream())
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from batches import random_batch
-from dgalab import attention, dga
 from dgalab.coding import (
     CodingInstance,
     GroupStructure,
@@ -84,17 +83,6 @@ ENTRY_POINTS = {
     "sparsity_profile.trials": (
         1, lambda n: sparsity_profile(SOURCE, [16], [0.5], n, RngStream(0))),
 }
-
-
-@pytest.fixture
-def no_work(monkeypatch):
-    """Any draw or scoring tile fails the test."""
-    def spy(*args, **kwargs):
-        raise AssertionError("drew or scored before rejecting the count")
-
-    monkeypatch.setattr(RngStream, "generator", spy)
-    monkeypatch.setattr(attention, "_tile", spy)
-    monkeypatch.setattr(dga, "_tile", spy)
 
 
 @pytest.mark.parametrize("value", [2.5, np.float64(4), None], ids=["2.5", "float64(4)", "least-1"])
