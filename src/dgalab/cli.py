@@ -38,6 +38,7 @@ from .coding import (
 )
 from .decode import decode_step, ledger, prefill
 from .dga import build_group_mask, compute_partition, dga_attention_with_partition
+from .errors import check_finite
 from .matrixio import dump_case, write_csv
 from .oracles import mask_by_reachability, naive_causal_attention, naive_dga_attention
 from .rng import RngStream
@@ -112,6 +113,7 @@ def _prepare(args) -> argparse.Namespace:
 
 
 def run_sparsity(p) -> int:
+    check_finite(p.rho, "rho")
     if not any(1.0 / L < rho <= 1.0 for L in p.L for rho in p.rho):
         raise ValueError("no --rho value lies in (1/L, 1] for any --L")
     source = named_source(p.sampler, d=p.d)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, StepTooLargeError, check_count, check_finite
 from .numerics import (
+    _as_finite_vector,
     check_prob_vector,
     condition_number,
     project_to_simplex,
@@ -185,7 +186,7 @@ def first_order_delta_check(
     """
     if check_finite(delta_scale, "delta_scale") < 0:
         raise InvalidInputError("delta_scale must be nonnegative")
-    alpha_tilde = check_finite(alpha_tilde, "alpha_tilde")
+    alpha_tilde = _as_finite_vector(alpha_tilde, "alpha_tilde")
     direction = rng.normal(alpha_tilde.size)
     big = softmax_perturbation_residual(alpha_tilde, delta_scale * direction)
     small = softmax_perturbation_residual(alpha_tilde, 0.5 * delta_scale * direction)

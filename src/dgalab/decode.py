@@ -5,12 +5,12 @@ rows, [focal | aggregated blocks | pending tail], seeded by prefill from
 the grouped attention layout. Each decode step checks q, k and v once as
 one stacked array, writes the new token at the end of the tail and attends
 over the live rows -- everything cached is in the past, so no mask is
-needed -- with one logit product, exponentiated by `numerics.exp_rows`.
-Once the tail reaches m' = ceil(1.1 m) rows (in integers,
+needed -- with one logit product, exponentiated by `numerics.exp_rows` with a
+scalar shift. Once the tail reaches m' = ceil(1.1 m) rows (in integers,
 m + (m + 9) // 10), the oldest m of them collapse in place into one new
 aggregated row, pooled by `dga._pool` with `exp_rows` of the step's own
-logits over them, shifted by their own max, as prefill pools with its
-blocks' last queries; a regroup computes no logit. The ledger reports the
+logits over them, a 1-D view shifted by its own max, as prefill pools with
+its blocks' last queries; a regroup computes no logit. The ledger reports the
 cache and `dots`, the logits prefill and the steps computed; `decode-bench`
 writes them beside vanilla full attention's, and the per-step trace.
 """
@@ -118,7 +118,7 @@ def decode_step(
     regroup = rows - g >= regroup_threshold(m)
     if regroup:  # shifted by the members' own max: exact far below the step's
         w = np.empty((1, m))
-        w_sums = exp_rows(e[None, g : g + m], w)
+        w_sums = exp_rows(e[g : g + m], w[0])
     total = exp_rows(e, e)
     out = e @ cache[1, :rows] / total
     if regroup:

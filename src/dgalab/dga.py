@@ -169,7 +169,7 @@ def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.nda
 def _pool(w: np.ndarray, sums: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Rows (..., d) of blocks of members (..., m, d), pooled in one product by
     unnormalised weights w (..., 1, m) over the sums (..., 1) exp_rows gave the
-    caller: the only place an aggregate forms. Decode pools (2, m, d) at once."""
+    caller: the only place an aggregate forms. Decode pools (2, m, d) over one scalar sum."""
     return (w @ members)[..., 0, :] / sums
 
 

@@ -1,5 +1,6 @@
-"""Dense kernels: `exp_rows`, the library's one max-shifted exponent, softmax,
-simplex projection, symmetric eigenvalues and positive-spectrum condition numbers.
+"""Dense kernels: `exp_rows`, the library's one max-shifted exponent outside the
+oracles (a 1-D row is shifted by a scalar), softmax, simplex projection,
+symmetric eigenvalues and positive-spectrum condition numbers.
 
 Matrices are plain float64 numpy arrays in row-major order; probability
 vectors are 1-D float64 arrays that sum to one.
@@ -32,14 +33,15 @@ def check_prob_vector(p) -> np.ndarray:
 
 
 def softmax(v) -> np.ndarray:
-    """Max-shifted softmax; safe for arbitrarily large finite inputs."""
-    return softmax_rows(_as_finite_vector(v))
+    """Max-shifted softmax into a new array; safe for arbitrarily large finite inputs."""
+    v = _as_finite_vector(v)
+    return softmax_into(v, np.empty_like(v))
 
 
 def exp_rows(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(mat - its row max) over the last axis into out, which may be mat; returns row sums."""
     # initial=-inf gives the same max, and numpy reduces short rows about twice as fast
-    np.subtract(mat, mat.max(axis=-1, keepdims=True, initial=-np.inf), out=out)
+    np.subtract(mat, mat.max(axis=-1, keepdims=mat.ndim > 1, initial=-np.inf), out=out)
     np.exp(out, out=out)
     return out.sum(axis=-1)
 
@@ -48,11 +50,6 @@ def softmax_into(mat: np.ndarray, out: np.ndarray, cols=slice(None)) -> np.ndarr
     """exp_rows of mat into out, which may be mat, then out[..., cols] divided by the row sums."""
     out[..., cols] /= exp_rows(mat, out)[..., None]
     return out
-
-
-def softmax_rows(mat: np.ndarray) -> np.ndarray:
-    """softmax_into one new array; mat is left as it was."""
-    return softmax_into(mat, np.empty_like(mat))
 
 
 def project_to_simplex(v) -> np.ndarray:

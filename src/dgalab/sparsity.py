@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, check_count, check_finite
-from .numerics import softmax_rows
+from .numerics import exp_rows, softmax_into
 from .rng import RngStream
 
 _CHUNK_ENTRIES = 4_000_000
@@ -124,7 +124,8 @@ def empirical_p_sparse(weight_rows, rho: float) -> float:
 def sample_weight_rows(source: LogitSource, L: int, n: int, rng: RngStream) -> np.ndarray:
     """n softmaxed logit rows of length L from the source."""
     L, n = check_count(L, "L", 1), check_count(n, "n", 0)
-    return softmax_rows(source.draw(rng, n, L))
+    logits = source.draw(rng, n, L)
+    return softmax_into(logits, np.empty_like(logits))
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,7 @@ def p_sparse_lower_bound_detail(
         log_head[start:stop] = logits[:, 0]
         # log sum_{k != 0} exp(logits[:, k]), shifted by the row max, in one new array
         rest = logits[:, 1:]
-        peak = rest.max(axis=1)
-        e = rest - peak[:, None]
-        log_tail[start:stop] = peak + np.log(np.exp(e, out=e).sum(axis=1))
+        log_tail[start:stop] = rest.max(axis=1) + np.log(exp_rows(rest, np.empty_like(rest)))
     if x_grid is None:
         lo, hi = np.percentile(log_head, [1.0, 99.0])
         grid_logs = np.linspace(lo, hi, 32)

@@ -363,6 +363,14 @@ class TestSubcommands:
         assert not out.exists()
         assert "rho must be finite" in capsys.readouterr().err
 
+    def test_sparsity_names_finiteness_for_a_rho_of_only_nan(self, tmp_path, capsys):
+        """A lone NaN rho used to be reported as out of the (1/L, 1] domain."""
+        out = tmp_path / "out"
+        assert run(["sparsity", "--L", "16", "--rho", "nan", "--trials", "10",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "rho must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["coding", "--m", "0", "--instances", "0"], "--m"),
         (["noise", "--d", "0", "--m", "0"], "--m"),

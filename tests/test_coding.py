@@ -191,6 +191,17 @@ class TestFirstOrderExpansion:
         ]
         assert 3.5 <= np.mean(ratios) <= 4.5
 
+    @pytest.mark.parametrize("alpha_tilde", [[], np.zeros((2, 2))], ids=["empty", "matrix"])
+    def test_logits_shape_is_checked_before_the_draw(self, alpha_tilde):
+        """[] and a (2, 2) array used to draw 0 and 4 entries before softmax raised."""
+
+        class NoDraw:
+            def normal(self, size):
+                pytest.fail(f"drew {size} entries before the shape check")
+
+        with pytest.raises(InvalidInputError, match="alpha_tilde must be a nonempty 1-D vector"):
+            first_order_delta_check(alpha_tilde, 1e-3, NoDraw())
+
 
 class TestPerturbationVariance:
     def test_sigma_zero(self):

@@ -1,10 +1,14 @@
 """Kernels: the max-shifted exponent, softmax, simplex projection, symmetric eigenvalues."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgalab
 from dgalab import oracles
 from dgalab.errors import ConvergenceError, InvalidInputError
 from dgalab.numerics import (
@@ -12,7 +16,7 @@ from dgalab.numerics import (
     exp_rows,
     project_to_simplex,
     softmax,
-    softmax_rows,
+    softmax_into,
     sym_eigenvalues,
 )
 from dgalab.oracles import jacobi_eigenvalues
@@ -56,7 +60,8 @@ class TestSoftmax:
         mat = rng.uniform(-1.0, 1.0, size=shape) * reach
         before = mat.copy()
         e = np.exp(mat - mat.max(axis=-1, keepdims=True))
-        np.testing.assert_array_equal(softmax_rows(mat), e / e.sum(axis=-1, keepdims=True))
+        got = softmax_into(mat, np.empty_like(mat))
+        np.testing.assert_array_equal(got, e / e.sum(axis=-1, keepdims=True))
         np.testing.assert_array_equal(mat, before)
 
     def test_vector_input_is_left_as_it_was(self):
@@ -70,7 +75,7 @@ class TestSoftmax:
         mat = np.random.default_rng(7).normal(scale=30.0, size=(40, 24))
         mat = {"transposed": mat.T, "strided": mat[::3, 1::2]}[view]
         before = mat.copy()
-        got = softmax_rows(mat)
+        got = softmax_into(mat, np.empty_like(mat))
         np.testing.assert_array_equal(mat, before)
         assert not np.shares_memory(got, mat)
 
@@ -87,6 +92,33 @@ class TestSoftmax:
             sums = exp_rows(mat, out)
             assert (out == want).all() and (sums == want.sum(axis=-1)).all()
             assert (exp_rows(inplace, inplace) == sums).all() and (inplace == want).all()
+
+    @settings(max_examples=200)
+    @given(row=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=300))
+    def test_exp_rows_of_a_1d_row_matches_its_one_row_matrix(self, row):
+        """A 1-D row, shifted by a scalar max, gives the values and the sum of
+        the same row as a (1, n) matrix, shifted by a (1, 1) max."""
+        vec = np.array(row)
+        out, out_mat = np.empty_like(vec), np.empty((1, vec.size))
+        total, totals = exp_rows(vec, out), exp_rows(vec.reshape(1, -1), out_mat)
+        assert np.ndim(total) == 0 and totals.shape == (1,)
+        assert total == totals[0] and (out == out_mat[0]).all()
+
+
+def test_np_exp_runs_only_in_exp_rows_and_the_oracles():
+    """Every max-shifted exponent in the library goes through exp_rows; the
+    oracles keep their own, so neither can hide a bug the other shares."""
+    found = []
+    for path in sorted(Path(dgalab.__file__).parent.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        owner = {}  # node -> name of its innermost enclosing def or class
+        for node in ast.walk(ast.parse(path.read_text())):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = getattr(node, "name", owner.get(node, "<module>"))
+            if isinstance(node, ast.Attribute) and node.attr == "exp":
+                found.append((path.name, owner[node]))
+    assert sorted(set(found)) == [("numerics.py", "exp_rows")]
 
 
 def test_no_oracle_binds_a_numerics_kernel():
