@@ -136,10 +136,9 @@ def _causal_tiles(batch: AttentionBatch, positions: np.ndarray, visit) -> list:
 
     def run_tile(t, buf):
         rows = positions[t * _ROW_BLOCK : (t + 1) * _ROW_BLOCK]
-        n, end = rows.size, rows[-1] + 1
-        q = batch.q[rows[0] : end] if end - rows[0] == n else batch.q[rows]
-        e, sums = _tile(q, [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
-                        out=buf.reshape(n, end))
+        end = rows[-1] + 1
+        e, sums = _tile(batch.q[rows], [batch.k[:end]], rows, np.arange(rows[0] + 1, end), end,
+                        out=buf.reshape(rows.size, end))
         parts[t] = visit(rows, e, sums)
 
     _run_shares(logits, run_tile)

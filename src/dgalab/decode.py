@@ -72,7 +72,8 @@ class DecoderState:
 
 
 def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, DecoderState]:
-    """Run grouped attention over the prompt and seed the decode cache.
+    """Run grouped attention over the prompt, scored exactly (not at all at
+    r = L, where every token is focal), and seed the decode cache.
 
     Every prompt token lands in exactly one cache row: focal rows stay
     individual, non-focal rows are already aggregated into their blocks
@@ -81,11 +82,11 @@ def prefill(batch: AttentionBatch, m: int, gamma: float) -> tuple[np.ndarray, De
     """
     partition = compute_partition(batch, m, gamma)
     outputs, kv, attended = _attend(batch, partition)
-    # Exact scoring (none at gamma = 1) computes whole causal tiles.
-    scored = int(_causal_logits(np.arange(batch.length)).sum()) if gamma < 1.0 else 0
-    r, k = partition.r, partition.k
+    L, r, k = batch.length, partition.r, partition.k
+    # Exact scoring (none at r = L: every token is focal) computes whole causal tiles.
+    scored = int(_causal_logits(np.arange(L)).sum()) if r < L else 0
     state = DecoderState(partition.m, kv, focal_rows=r, group_rows=k, rows=r + k,
-                         prefill_tokens=batch.length, dots=attended + scored)
+                         prefill_tokens=L, dots=attended + scored)
     return outputs, state
 
 

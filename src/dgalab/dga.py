@@ -1,7 +1,8 @@
 """Dynamic group attention.
 
-Pipeline: score each token by its causal attention weight averaged over
-every query row that sees it (exact) or over a sampled set of rows, split
+Pipeline: size the focal set once (`_focal_count`), then, unless it holds
+every token, score each token by its causal attention weight averaged over
+every query row that sees it (exact) or over a sampled set of rows; split
 tokens into focal and non-focal sets, chunk the non-focal subsequence
 into blocks of m, pool each block's keys/values with the softmax of its
 last-position query (`_pool`, also decode's regroup), and attend over
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBatch, _causal_tiles, _run_shares, _tile, _visible
-from .errors import InvalidInputError, check_count, check_finite
+from .errors import InvalidInputError, check_count
+from .numerics import _as_finite_vector
 from .rng import RngStream
 
 _TILE_ROWS = 64  # query rows per grouped-attend tile
@@ -129,14 +131,9 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     Ties break by ascending index. Remaining tokens are chunked, in
     original order, into consecutive blocks of m.
     """
-    scores = check_finite(scores, "scores")
-    if scores.ndim != 1 or scores.size == 0:
-        raise InvalidInputError("scores must be a nonempty vector")
-    m = _check_budget(m, gamma)
+    scores = _as_finite_vector(scores, "scores")
     L = scores.size
-    # Tolerate float fuzz like 0.07 * 100 = 7.000000000000001 before ceil.
-    r0 = max(1, int(np.ceil(gamma * L - 1e-9)))
-    r = r0 + (L - r0) % m
+    r, m = _focal_count(L, gamma, m)
     by_score = np.argsort(-scores, kind="stable")
     focal = np.sort(by_score[:r])
     groups = np.sort(by_score[r:]).reshape(-1, m)
@@ -145,10 +142,14 @@ def partition_tokens(scores, gamma: float, m: int) -> TokenPartition:
     return TokenPartition(L, m, float(gamma), focal, groups, until)
 
 
-def _check_budget(m: int, gamma: float) -> int:
+def _focal_count(L: int, gamma: float, m: int) -> tuple[int, int]:
+    """(r, m), gamma and m checked: the focal count of partition_tokens' rule."""
     if not (0.0 < gamma <= 1.0):
         raise InvalidInputError("gamma must lie in (0, 1]")
-    return check_count(m, "m", 1)
+    m = check_count(m, "m", 1)
+    # Tolerate float fuzz like 0.07 * 100 = 7.000000000000001 before ceil.
+    r0 = max(1, int(np.ceil(gamma * L - 1e-9)))
+    return r0 + (L - r0) % m, m
 
 
 def build_grouped_kv(batch: AttentionBatch, partition: TokenPartition) -> np.ndarray:
@@ -239,12 +240,14 @@ def compute_partition(
     spec: SampleSpec | None = None,
     rng: RngStream | None = None,
 ) -> TokenPartition:
-    """Check m and gamma, then score tokens over every query row (skipped at
-    gamma = 1: every token is focal) or the spec's sampled rows, and partition."""
-    _check_budget(m, gamma)
+    """Check m and gamma, then score tokens over every query row or the spec's
+    sampled rows, and partition. At r = L (gamma = 1, or no block of m fits)
+    scores choose nothing, so every spec skips scoring and draws nothing."""
+    L = batch.length
+    if _focal_count(L, gamma, m)[0] == L:
+        return partition_tokens(np.zeros(L), gamma, m)
     if spec is None:
-        scores = importance_scores_exact(batch) if gamma < 1.0 else np.zeros(batch.length)
-        return partition_tokens(scores, gamma, m)
+        return partition_tokens(importance_scores_exact(batch), gamma, m)
     return partition_tokens(approx_importance_scores(batch, spec, rng), gamma, m)
 
 

@@ -82,12 +82,13 @@ class TestPrefill:
         assert state.dots == ledger(state).score_dot_products
         np.testing.assert_allclose(outputs, dga_attention(batch, m, gamma), atol=1e-14)
 
-    @pytest.mark.parametrize("L", [1, 63, 64, 65, 127, 128, 129, 300, 1000])
+    @pytest.mark.parametrize("L", [1, 8, 63, 64, 65, 127, 128, 129, 300, 1000])
     def test_scoring_dots_are_the_tile_loops_entries(self, monkeypatch, L):
         """After prefill, state.dots is the sum of e.size over every _tile call
         it makes (scoring, pooling and the attend), at every m, gamma and CPU
-        count. Each decode step then adds the rows it attends and calls no
-        _tile: its regroup pools from the logits the step already computed."""
+        count; at L = 8 no block forms at m = 16, and one does at m = 4. Each
+        decode step then adds the rows it attends and calls no _tile: its
+        regroup pools from the logits the step already computed."""
         sizes = []
         for module in (attention, dga):
             def spy(*args, real=module._tile, **kwargs):

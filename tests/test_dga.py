@@ -251,6 +251,12 @@ class TestPartitionTokens:
         with pytest.raises(InvalidInputError, match="scores must be finite"):
             partition_tokens([bad, 1, 2, 0.5, bad, 3], 0.34, 2)
 
+    @pytest.mark.parametrize("bad", [[], 1.0, [[1.0]], np.zeros((2, 3))],
+                             ids=["empty", "scalar", "1x1", "2x3"])
+    def test_scores_must_be_a_nonempty_vector(self, bad):
+        with pytest.raises(InvalidInputError, match="scores must be a nonempty 1-D vector"):
+            partition_tokens(bad, 0.5, 2)
+
 
 def pinned_grouped_kv(batch, part):
     """build_grouped_kv's arithmetic, copied here so that a rewrite must keep
@@ -469,6 +475,43 @@ class TestDgaAttention:
             with pytest.raises(InvalidInputError, match=message):
                 run()
         assert calls == []
+
+    @pytest.mark.parametrize("L, m, gamma", [(1, 4, 0.1), (8, 16, 0.1), (16, 16, 0.01),
+                                             (5, 4, 0.25), (20, 4, 1.0)])
+    def test_no_spec_scores_or_draws_when_every_token_is_focal(self, monkeypatch, L, m, gamma):
+        """At r = L no block forms and scores choose nothing: every spec, even
+        one larger than L or missing its RngStream, runs no scoring tile and
+        draws nothing, and the partition is all focal."""
+        def fail(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return spy
+
+        monkeypatch.setattr(attention, "_tile", fail("the scorer's _tile"))
+        monkeypatch.setattr(RngStream, "generator", fail("RngStream.generator"))
+        batch = random_batch(np.random.default_rng(L), L, 4)
+        args = [(None, None), (SampleSpec(16, 16), None), (SampleSpec(2, 2), RngStream(0))]
+        outs = []
+        for spec, rng in args:
+            part = compute_partition(batch, m, gamma, spec, rng)
+            assert np.array_equal(part.focal, np.arange(L)) and part.k == 0
+            outs.append(dga_attention(batch, m, gamma, spec, rng))
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+        _, state = prefill(batch, m, gamma)
+        assert state.focal_rows == state.rows == L and state.group_rows == 0
+
+    def test_exact_scoring_runs_once_a_block_forms(self, monkeypatch):
+        """At L = 17, m = 16, gamma = 0.01 one token is focal and one block forms,
+        so exact scoring runs the scorer's tiles."""
+        calls = []
+
+        def spy(*args, real=attention._tile, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attention, "_tile", spy)
+        part = compute_partition(random_batch(np.random.default_rng(17), 17, 4), 16, 0.01)
+        assert (part.r, part.k) == (1, 1) and calls
 
     def test_sampled_scores_pipeline_runs_and_is_deterministic(self):
         rng = np.random.default_rng(21)

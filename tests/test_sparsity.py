@@ -151,6 +151,15 @@ class TestLowerBound:
                 gaussian_source(), 16, 0.5, trials=100, rng=RngStream(9)
             ).bound
 
+    @pytest.mark.parametrize("grid", [np.ones((2, 3)), 1.0, [[1.0]]], ids=["2x3", "scalar", "1x1"])
+    def test_grid_must_be_a_vector_before_any_draw(self, grid):
+        def draw(rng, n, L):
+            raise AssertionError("draw called")
+
+        with pytest.raises(InvalidInputError, match="x_grid must be a nonempty 1-D vector"):
+            p_sparse_lower_bound_detail(LogitSource("failing", draw), 16, 0.5, x_grid=grid,
+                                        trials=10_000, rng=RngStream(9))
+
     def test_deterministic(self):
         a = p_sparse_lower_bound_detail(
             gaussian_source(), 64, 0.05, trials=10_000, rng=RngStream(10)
@@ -454,3 +463,13 @@ def test_a_drawn_array_is_never_written(run):
         assert np.array_equal(first, second) and not np.shares_memory(first, logits)
     else:
         assert first == second
+
+
+# Cells where numpy's vector power rounds the best u^L differently from the
+# scalar power the per-x loop takes (on CPUs where numpy vectorises pow).
+@pytest.mark.parametrize("L", [3, 14])
+def test_bound_takes_the_scalar_power(L):
+    rng = RngStream(84).child(L)
+    got = p_sparse_lower_bound_detail(gaussian_source(), L, 0.5, None, 10_000, rng)
+    assert (got.bound, got.standard_error) == ref_bound(gaussian_source().draw, L, 0.5, None,
+                                                         10_000, rng)
